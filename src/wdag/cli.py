@@ -90,18 +90,21 @@ def _cmd_count(args) -> int:
         formula_value = None
         if omega.m == 2:
             formula_value = formulas.count_classes_two_vertices(*omega.dims)
+            formula_source = "formula"
         elif omega.m == 3:
             low, mid, high = sorted(omega.dims)
-            formula_value = formulas.count_classes_three_vertices(low, mid, high).total
+            formula_value = formulas.count_classes_three_vertices_corrected(
+                low, mid, high
+            ).total
+            formula_source = "formula (corrected three-vertex form)"
         if formula_value is not None and not args.brute:
-            value, source = formula_value, "formula"
+            value, source = formula_value, formula_source
         else:
             value, source = count_equivalence_classes(omega), "brute"
             if formula_value is not None and formula_value != value:
                 print(value)
                 print(
-                    f"closed form gives {formula_value}, orbit enumeration gives {value}"
-                    " (known display defect in the equal-dimension branches)",
+                    f"closed form gives {formula_value}, orbit enumeration gives {value}",
                     file=sys.stderr,
                 )
                 return 1
@@ -373,7 +376,9 @@ def _table_rows(family: str, max_n: int) -> tuple[list[str], list[list]]:
         for n1 in range(1, max_n + 1):
             for n2 in range(n1, max_n + 1):
                 for n3 in range(n2, max_n + 1):
-                    breakdown = formulas.count_classes_three_vertices(n1, n2, n3)
+                    breakdown = formulas.count_classes_three_vertices_corrected(
+                        n1, n2, n3
+                    )
                     rows.append([n1, n2, n3, breakdown.total, breakdown.branch])
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown table family {family!r}")

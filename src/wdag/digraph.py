@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -113,15 +114,36 @@ class VectorMatrix:
         )
         return cls(omega, rows)
 
-    def serialize(self) -> str:
-        """Row-major concatenation of entry bit strings."""
-        return "".join(v.to_string() for row in self.rows for v in row)
+
+class _BitStrings(dict):
+    """Bit strings of one dimension, coordinate 1 leftmost, keyed by the
+    packed bits; each string is made on first use."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = format(bits, f"0{self.dim}b")[::-1]
+        return text
+
+
+@lru_cache(maxsize=None)
+def _serial_tables(dims: tuple[int, ...]) -> tuple[_BitStrings, ...]:
+    """One bit-string table per key position: row i uses dimension dims[i]."""
+    tables = {d: _BitStrings(d) for d in set(dims)}
+    return tuple(tables[d] for d in dims for _ in dims)
 
 
 class VWDigraph:
-    """Immutable weighted digraph; edge (i,j) carries a nonzero vector of dim(i)."""
+    """Immutable weighted digraph; edge (i,j) carries a nonzero vector of dim(i).
 
-    __slots__ = ("omega", "edges", "_wmap", "_serial", "_hash")
+    The graph is stored as ``key``, a flat row-major tuple of m*m ints:
+    entry (i-1)*m + (j-1) is the bits of the weight of edge (i,j), and 0
+    means no edge.  Everything else is derived from the key.
+    """
+
+    __slots__ = ("omega", "key", "_serial")
 
     def __init__(
         self,
@@ -134,7 +156,7 @@ class VWDigraph:
         else:
             items = list(weights)
         m = omega.m
-        wmap: dict[tuple[int, int], GF2Vector] = {}
+        key = [0] * (m * m)
         for i, j, w in items:
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError(f"edge ({i},{j}) outside 1..{m}")
@@ -146,50 +168,70 @@ class VWDigraph:
                 )
             if w.is_zero:
                 raise ValueError(f"edge ({i},{j}) carries the zero vector")
-            if (i, j) in wmap:
+            if key[(i - 1) * m + j - 1]:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            wmap[(i, j)] = w
+            key[(i - 1) * m + j - 1] = w.bits
         self.omega = omega
-        self.edges = tuple(sorted((i, j, w) for (i, j), w in wmap.items()))
-        self._wmap = wmap
-        self._serial: str | None = None
-        self._hash = hash((omega.dims, self.edges))
+        self.key = tuple(key)
+        self._serial = None
+
+    @classmethod
+    def _from_key(cls, omega: DimensionFunction, key: tuple[int, ...]) -> "VWDigraph":
+        """Trusted constructor for keys made inside the library: no checks."""
+        g = cls.__new__(cls)
+        g.omega = omega
+        g.key = key
+        g._serial = None
+        return g
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, GF2Vector], ...]:
+        """Edges (i, j, weight), sorted by (i, j)."""
+        dims = self.omega.dims
+        m = len(dims)
+        return tuple(
+            (p // m + 1, p % m + 1, GF2Vector(dims[p // m], bits))
+            for p, bits in enumerate(self.key)
+            if bits
+        )
+
+    def _bits(self, i: int, j: int) -> int:
+        m = self.omega.m
+        return self.key[(i - 1) * m + j - 1] if 1 <= i <= m and 1 <= j <= m else 0
 
     def weight(self, i: int, j: int) -> GF2Vector | None:
-        return self._wmap.get((i, j))
+        bits = self._bits(i, j)
+        return GF2Vector(self.omega.dims[i - 1], bits) if bits else None
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._wmap
+        return self._bits(i, j) != 0
 
     def out_neighbors(self, v: int) -> list[int]:
-        return sorted(j for (i, j) in self._wmap if i == v)
+        m = self.omega.m
+        return [j for j in range(1, m + 1) if self._bits(v, j)]
 
     def in_neighbors(self, v: int) -> list[int]:
-        return sorted(i for (i, j) in self._wmap if j == v)
+        m = self.omega.m
+        return [i for i in range(1, m + 1) if self._bits(i, v)]
 
     @property
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
         if self._serial is None:
-            m = self.omega.m
-            parts = []
-            for i in range(1, m + 1):
-                zero = "0" * self.omega.dim(i)
-                for j in range(1, m + 1):
-                    w = self._wmap.get((i, j))
-                    parts.append(zero if w is None else w.to_string())
-            self._serial = "".join(parts)
+            self._serial = "".join(
+                map(_BitStrings.__getitem__, _serial_tables(self.omega.dims), self.key)
+            )
         return self._serial
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, VWDigraph)
-            and self.omega == other.omega
-            and self.edges == other.edges
+            and self.omega.dims == other.omega.dims
+            and self.key == other.key
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.omega.dims, self.key))
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{i}->{j}:{w.to_string()}" for i, j, w in self.edges)
@@ -305,30 +347,27 @@ def dag_census(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from extend(tuple(range(1, m + 1)), (), (), ())
 
 
-def count_dags(m: int, _memo: dict = {}) -> int:
+def count_dags(m: int) -> int:
     """Number of DAGs on m labeled vertices, via the layer recurrence."""
-
-    def layered(remaining: int, prev: int, earlier: int) -> int:
-        if remaining == 0:
-            return 1
-        key = (remaining, prev, earlier)
-        if key in _memo:
-            return _memo[key]
-        per_vertex = ((1 << prev) - 1) * (1 << earlier)
-        total = 0
-        for size in range(1, remaining + 1):
-            total += (
-                _binomial(remaining, size)
-                * per_vertex**size
-                * layered(remaining - size, size, earlier + prev)
-            )
-        _memo[key] = total
-        return total
-
     if m == 0:
         return 1
     return sum(
-        _binomial(m, size) * layered(m - size, size, 0) for size in range(1, m + 1)
+        _binomial(m, size) * _layered(m - size, size, 0) for size in range(1, m + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _layered(remaining: int, prev: int, earlier: int) -> int:
+    """DAGs on the remaining vertices below a last layer of prev vertices
+    and earlier vertices above it."""
+    if remaining == 0:
+        return 1
+    per_vertex = ((1 << prev) - 1) * (1 << earlier)
+    return sum(
+        _binomial(remaining, size)
+        * per_vertex**size
+        * _layered(remaining - size, size, earlier + prev)
+        for size in range(1, remaining + 1)
     )
 
 

@@ -10,6 +10,7 @@ full characteristic matrix followed by GF(2) row reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from .digraph import (
@@ -20,7 +21,7 @@ from .digraph import (
     is_acyclic,
     reduced_matrix,
 )
-from .gf2 import GF2Vector, gf2_add, gf2_permute
+from .gf2 import GF2Vector, permute_bits
 from .permutation import Permutation
 
 DEFAULT_ORBIT_BUDGET = 10**7
@@ -35,9 +36,43 @@ class OrbitBudgetError(BudgetError):
         )
 
 
-def _check_vertex(g: VWDigraph, v: int) -> None:
-    if not 1 <= v <= g.omega.m:
-        raise ValueError(f"vertex {v} outside 1..{g.omega.m}")
+def _check_vertex(g: VWDigraph, v: int) -> int:
+    """The dimension of vertex v; raises unless v is a vertex of g."""
+    dims = g.omega.dims
+    if not 1 <= v <= len(dims):
+        raise ValueError(f"vertex {v} outside 1..{len(dims)}")
+    return dims[v - 1]
+
+
+def _complement(g: VWDigraph, v: int, mask: int) -> list[int]:
+    """The key of g with the weight of (u,v) added onto (u,w) for every
+    in-neighbor u of v and every out-neighbor w whose weight shares a bit
+    with mask.  An edge exists iff its entry is nonzero, and no loop is
+    ever created (u == w is only reachable from a cyclic input)."""
+    m = len(g.omega.dims)
+    key = list(g.key)
+    row = (v - 1) * m
+    marked = [w for w in range(m) if key[row + w] & mask]
+    if marked:
+        for u in range(m):
+            wuv = key[u * m + v - 1]
+            if wuv:
+                for w in marked:
+                    if w != u:
+                        key[u * m + w] ^= wuv
+    return key
+
+
+def _permute_row(
+    key: list[int], m: int, v: int, images: tuple[int, ...], mask: int, correction: int
+) -> None:
+    """Permute every weight in row v of a key in place by images, then add
+    correction to those whose original weight shares a bit with mask."""
+    for p in range((v - 1) * m, v * m):
+        old = key[p]
+        if old:
+            new = permute_bits(images, old)
+            key[p] = new ^ correction if old & mask else new
 
 
 def local_complement(g: VWDigraph, v: int) -> VWDigraph:
@@ -45,36 +80,19 @@ def local_complement(g: VWDigraph, v: int) -> VWDigraph:
     out-neighbor w of v; an edge exists in the result iff its new weight
     is nonzero."""
     _check_vertex(g, v)
-    ins = g.in_neighbors(v)
-    outs = g.out_neighbors(v)
-    weights = {(i, j): w for i, j, w in g.edges}
-    for u in ins:
-        wuv = g.weight(u, v)
-        assert wuv is not None
-        for w in outs:
-            if u == w:
-                # Only reachable from a cyclic input; never create a loop.
-                continue
-            old = g.weight(u, w) or GF2Vector.zero(g.omega.dim(u))
-            new = gf2_add(old, wuv)
-            if new.is_zero:
-                weights.pop((u, w), None)
-            else:
-                weights[(u, w)] = new
-    return VWDigraph(g.omega, weights)
+    return VWDigraph._from_key(g.omega, tuple(_complement(g, v, -1)))
 
 
 def permute_out_weights(g: VWDigraph, v: int, sigma: Permutation) -> VWDigraph:
     """Apply sigma to the weight of every edge leaving v."""
-    _check_vertex(g, v)
-    if sigma.degree != g.omega.dim(v):
+    dim_v = _check_vertex(g, v)
+    if len(sigma.images) != dim_v:
         raise ValueError(
-            f"permutation degree {sigma.degree} does not match dimension {g.omega.dim(v)}"
+            f"permutation degree {sigma.degree} does not match dimension {dim_v}"
         )
-    weights = {
-        (i, j): (gf2_permute(sigma, w) if i == v else w) for i, j, w in g.edges
-    }
-    return VWDigraph(g.omega, weights)
+    key = list(g.key)
+    _permute_row(key, len(g.omega.dims), v, sigma.images, 0, 0)
+    return VWDigraph._from_key(g.omega, tuple(key))
 
 
 def sigma_local_complement(g: VWDigraph, v: int, sigma: Permutation) -> VWDigraph:
@@ -95,54 +113,36 @@ def sigma_k_local_complement(
     the weight of (u,v) exactly when (weight of (v,w))_k = 1.  An edge
     exists in the result iff its final weight is nonzero.
     """
-    _check_vertex(g, v)
-    dim_v = g.omega.dim(v)
-    if sigma.degree != dim_v:
+    dim_v = _check_vertex(g, v)
+    if len(sigma.images) != dim_v:
         raise ValueError(
             f"permutation degree {sigma.degree} does not match dimension {dim_v}"
         )
     if not 1 <= k <= dim_v:
         raise ValueError(f"coordinate {k} outside 1..{dim_v}")
-    ins = g.in_neighbors(v)
-    outs = g.out_neighbors(v)
-    correction = GF2Vector.all_ones_except(dim_v, sigma.inverse()(k))
-    weights = {(i, j): w for i, j, w in g.edges}
-    marked = [w for w in outs if g.weight(v, w).bit(k) == 1]
-    # Cross pairs, from the original weights.
-    for u in ins:
-        wuv = g.weight(u, v)
-        for w in marked:
-            if u == w:
-                continue
-            old = g.weight(u, w) or GF2Vector.zero(g.omega.dim(u))
-            new = gf2_add(old, wuv)
-            if new.is_zero:
-                weights.pop((u, w), None)
-            else:
-                weights[(u, w)] = new
-    # Out-edges of v keep a 1 in coordinate sigma^{-1}(k) when marked, so
-    # they never vanish.
-    for w in outs:
-        old = g.weight(v, w)
-        new = gf2_permute(sigma, old)
-        if old.bit(k) == 1:
-            new = gf2_add(new, correction)
-        weights[(v, w)] = new
-    return VWDigraph(g.omega, weights)
+    mask = 1 << (k - 1)
+    # Cross pairs never touch row v, so it still holds the original weights.
+    key = _complement(g, v, mask)
+    # Marked out-edges of v keep a 1 in coordinate sigma^{-1}(k), so they
+    # never vanish.
+    correction = ((1 << dim_v) - 1) ^ (1 << sigma.images.index(k))
+    _permute_row(key, len(g.omega.dims), v, sigma.images, mask, correction)
+    return VWDigraph._from_key(g.omega, tuple(key))
 
 
 def reorder_vertices(g: VWDigraph, mu: Permutation) -> VWDigraph:
     """Relabel vertices: the new weight of (p,q) is the old weight of
     (mu(p), mu(q)).  mu must preserve the dimension of every vertex."""
-    m = g.omega.m
-    if mu.degree != m:
+    dims = g.omega.dims
+    m = len(dims)
+    images = mu.images
+    if len(images) != m:
         raise ValueError(f"permutation degree {mu.degree} does not match {m} vertices")
-    for i in range(1, m + 1):
-        if g.omega.dim(mu(i)) != g.omega.dim(i):
-            raise ValueError(f"reordering does not preserve dimensions at vertex {i}")
-    inv = mu.inverse()
-    weights = {(inv(i), inv(j)): w for i, j, w in g.edges}
-    return VWDigraph(g.omega, weights)
+    for i in range(m):
+        if dims[images[i] - 1] != dims[i]:
+            raise ValueError(f"reordering does not preserve dimensions at vertex {i + 1}")
+    positions = [(a - 1) * m + b - 1 for a in images for b in images]
+    return VWDigraph._from_key(g.omega, tuple(map(g.key.__getitem__, positions)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +304,22 @@ def orbit(
     if not is_acyclic(g):
         raise ValueError("orbits are computed for acyclic graphs only")
     gens = standard_generators(g.omega)
-    seen: dict[str, VWDigraph] = {g.serial: g}
+    seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
     frontier = [g]
     while frontier:
         nxt = []
         for cur in frontier:
             for gen in gens:
                 img = gen.apply(cur)
-                if img.serial not in seen:
-                    seen[img.serial] = img
+                if img.key not in seen:
+                    seen[img.key] = img
                     nxt.append(img)
                     if len(seen) > budget:
                         raise OrbitBudgetError(len(seen), budget)
         frontier = nxt
-    canonical = seen[min(seen)]
-    members = tuple(seen[k] for k in sorted(seen)) if include_members else None
+    by_serial = attrgetter("serial")
+    canonical = min(seen.values(), key=by_serial)
+    members = tuple(sorted(seen.values(), key=by_serial)) if include_members else None
     return OrbitReport(canonical=canonical, size=len(seen), members=members)
 
 
@@ -329,13 +330,13 @@ def count_equivalence_classes(
 ) -> int:
     """Partition all acyclic weighted digraphs into orbits; return the count."""
     kwargs = {} if enumeration_budget is None else {"budget": enumeration_budget}
-    seen: set[str] = set()
+    seen: set[tuple[int, ...]] = set()
     classes = 0
     for g in enumerate_acyclic(omega, **kwargs):
-        if g.serial in seen:
+        if g.key in seen:
             continue
         report = orbit(g, include_members=True, budget=orbit_budget)
         assert report.members is not None
-        seen.update(member.serial for member in report.members)
+        seen.update(member.key for member in report.members)
         classes += 1
     return classes

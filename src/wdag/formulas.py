@@ -456,13 +456,13 @@ def brute_three_vertex_breakdown(
     omega = DimensionFunction.of(n1, n2, n3)
     kwargs = {} if enumeration_budget is None else {"budget": enumeration_budget}
     per_type = {family: 0 for family in _FAMILIES}
-    seen: set[str] = set()
+    seen: set[tuple[int, ...]] = set()
     for g in enumerate_acyclic(omega, **kwargs):
-        if g.serial in seen:
+        if g.key in seen:
             continue
         report = orbit(g, include_members=True)
         assert report.members is not None
-        seen.update(member.serial for member in report.members)
+        seen.update(member.key for member in report.members)
         per_type[classify_shape(report.canonical)] += 1
     return TripleCountBreakdown(
         total=sum(per_type.values()), per_type=per_type, branch="brute-force"

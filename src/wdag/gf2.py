@@ -14,8 +14,8 @@ from .permutation import Permutation
 if TYPE_CHECKING:  # pragma: no cover
     from .digraph import VectorMatrix
 
-# One machine word is plenty: desk-scale runs never need more than ~8
-# coordinates, and a flat int keeps exhaustive sweeps fast.
+# Python ints are unbounded, so this is no storage limit: it is a sanity
+# cap, far above the ~8 coordinates an exhaustive sweep can reach.
 MAX_DIM = 62
 
 
@@ -102,10 +102,15 @@ def gf2_permute(sigma: Permutation, v: GF2Vector) -> GF2Vector:
     """
     if sigma.degree != v.dim:
         raise ValueError(f"degree mismatch: permutation on 1..{sigma.degree}, vector dim {v.dim}")
-    bits = 0
-    for i, img in enumerate(sigma.images):
-        bits |= ((v.bits >> (img - 1)) & 1) << i
-    return GF2Vector(v.dim, bits)
+    return GF2Vector(v.dim, permute_bits(sigma.images, v.bits))
+
+
+def permute_bits(images: Sequence[int], bits: int) -> int:
+    """gf2_permute on packed bits: bit i-1 of the result is bit images[i-1]-1."""
+    out = 0
+    for i, img in enumerate(images):
+        out |= ((bits >> (img - 1)) & 1) << i
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ swap-aware closed form `count_classes_three_vertices_corrected` against
 orbit enumeration family by family.  Its table also prints the paper's
 display, evaluated verbatim by `count_classes_three_vertices`, which
 misses the swap of two equal-dimension vertices: its totals differ from
-enumeration at (1,1,2), (1,2,2), (1,3,3) and (3,3,3), and its families
-also at (1,1,3), where the errors cancel in the total.
+enumeration at (1,1,2), (1,2,2), (1,3,3), (3,3,3), (1,1,4), (2,2,4) and
+(4,4,4), and its families also at (1,1,3), where the errors cancel in the
+total.
 """
 import time
 from itertools import combinations, product
@@ -233,6 +234,9 @@ def test_criterion_7_three_vertex_totals():
         (1, 3, 3),
         (2, 2, 2),
         (3, 3, 3),
+        (1, 1, 4),
+        (2, 2, 4),
+        (4, 4, 4),
     ]
     rows = []
     mismatched = []

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wdag import formulas
 from wdag.cli import main
 
 FIG_GRAPH = {
@@ -45,13 +46,29 @@ class TestCount:
         assert out == "3\n"
         assert "source: brute" in err
 
-    def test_weak_brute_reports_display_defect(self, capsys):
-        # The printed three-vertex display misses swap identifications at
-        # (1,1,2); enumeration is authoritative and the mismatch exits 1.
+    @pytest.mark.parametrize("omega,classes", [("1,1,2", "14"), ("3,3,3", "24")])
+    def test_weak_three_vertices_corrected_form(self, capsys, omega, classes):
+        # The paper's display gives 13 and 26 here; enumeration gives 14 and 24.
+        assert main(["count", "weak", "--omega", omega]) == 0
+        out, err = capsys.readouterr()
+        assert out == classes + "\n"
+        assert "source: formula (corrected three-vertex form)" in err
+
+    def test_weak_brute_agrees_with_corrected_form(self, capsys):
+        assert main(["count", "weak", "--omega", "1,1,2", "--brute"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "14\n"
+        assert "source: brute" in err
+
+    def test_weak_brute_mismatch_exits_one(self, capsys, monkeypatch):
+        wrong = formulas.count_classes_three_vertices(1, 1, 2)
+        monkeypatch.setattr(
+            formulas, "count_classes_three_vertices_corrected", lambda *dims: wrong
+        )
         assert main(["count", "weak", "--omega", "1,1,2", "--brute"]) == 1
         out, err = capsys.readouterr()
         assert out == "14\n"
-        assert "closed form gives 13" in err
+        assert "closed form gives 13, orbit enumeration gives 14" in err
 
     def test_weak_four_vertices_is_brute(self, capsys):
         assert main(["count", "weak", "--omega", "1,1,1,1"]) == 0
@@ -242,6 +259,9 @@ class TestTable:
         assert lines[0] == "n1,n2,n3,total,branch"
         assert "1,1,1,5,all-equal" in lines
         assert "2,2,2,8,all-equal" in lines
+        # Corrected totals, where the paper's display gives 13 and 15.
+        assert "1,1,2,14,low-pair" in lines
+        assert "1,2,2,16,high-pair" in lines
 
     def test_json_format(self, capsys):
         assert (

@@ -92,6 +92,21 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="dimension"):
             VWDigraph(omega, {(1, 2): GF2Vector.all_ones(1)})
 
+    def test_key_and_derived_views(self):
+        omega = DimensionFunction.of(2, 40)
+        ten = GF2Vector.from_string("10")
+        wide = GF2Vector(40, (1 << 39) | 1)
+        g = VWDigraph(omega, [(2, 1, wide), (1, 2, ten)])
+        assert g.key == (0, ten.bits, wide.bits, 0)
+        assert g.edges == ((1, 2, ten), (2, 1, wide))
+        assert g.serial == "00" + "10" + wide.to_string() + "0" * 40
+        assert g.out_neighbors(2) == g.in_neighbors(2) == [1]
+        assert g.weight(1, 2) == ten
+        assert g.weight(2, 2) is None and g.weight(3, 1) is None
+        assert g.has_edge(2, 1) and not g.has_edge(0, 1)
+        with pytest.raises(ValueError, match="duplicate"):
+            VWDigraph(omega, [(1, 2, ten), (1, 2, ten)])
+
     def test_adjacency_matrix(self):
         omega = DimensionFunction.of(2, 1)
         g = VWDigraph(omega, {(1, 2): GF2Vector.from_string("11")})

@@ -275,6 +275,20 @@ class TestOrbits:
             orbit(g, budget=1)
         assert err.value.partial_size > 1
 
+    @pytest.mark.parametrize("dims", [(2, 2), (1, 1, 2), (1, 2, 2)])
+    def test_move_images_equal_validated_graphs(self, dims):
+        # Moves build their images with the trusted key constructor; each
+        # must be indistinguishable from the same graph built from its edges.
+        omega = DimensionFunction(dims)
+        for g in enumerate_acyclic(omega):
+            for gen in standard_generators(omega):
+                img = gen.apply(g)
+                rebuilt = VWDigraph(omega, img.edges)
+                assert img == rebuilt
+                assert hash(img) == hash(rebuilt)
+                assert img.serial == rebuilt.serial
+                assert img.edges == rebuilt.edges
+
     def test_generators_preserve_acyclicity_spot(self):
         omega = DimensionFunction.of(2, 2)
         for g in enumerate_acyclic(omega):

@@ -265,8 +265,17 @@ class TestBruteBreakdown:
         assert brute.per_type == count_classes_three_vertices(1, 1, 1).per_type
 
     def test_distinct_dimensions_match_formula(self):
-        formula = count_classes_three_vertices(1, 1, 3)
+        formula = count_classes_three_vertices(1, 2, 3)
+        brute = brute_three_vertex_breakdown(1, 2, 3)
+        assert brute.per_type == formula.per_type
+        assert brute.total == 48
+
+    def test_cancelling_display_errors_corrected_per_family(self):
+        # At (1,1,3) the display's single-edge and out-star terms are both
+        # wrong and cancel in the total; the corrected form matches each family.
+        display = count_classes_three_vertices(1, 1, 3)
+        corrected = count_classes_three_vertices_corrected(1, 1, 3)
         brute = brute_three_vertex_breakdown(1, 1, 3)
-        # Branch totals coincide here even though two family terms differ
-        # in the printed display; the per-family comparison is the honest one.
-        assert brute.total == formula.total == 23
+        assert brute.total == display.total == 23
+        assert display.per_type != brute.per_type
+        assert corrected.per_type == brute.per_type
