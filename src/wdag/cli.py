@@ -242,6 +242,21 @@ def _suite_burnside(max_n: int):
             closed == via_term == oracle,
             f"closed={closed} term={via_term} oracle={oracle}",
         )
+    for n in range(1, min(max_n, 6) + 1):
+        closed = formulas.count_unordered_outstar_classes(n)
+        oracle = formulas.unordered_outstar_orbit_oracle(n)
+        yield (
+            f"unordered out-star n={n}",
+            closed == oracle,
+            f"closed={closed} oracle={oracle}",
+        )
+        closed = formulas.count_unordered_instar_classes(n)
+        oracle = formulas.unordered_instar_orbit_oracle(n)
+        yield (
+            f"unordered in-star n={n}",
+            closed == oracle,
+            f"closed={closed} oracle={oracle}",
+        )
     cap = min(max_n, 5)
     for n in range(1, cap + 1):
         for m in range(1, cap + 1):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .digraph import BudgetError, DimensionFunction, VWDigraph, enumerate_acyclic
 from .equivalence import orbit
+from .gf2 import permute_bits
 from .permutation import Permutation, reduce_top
 
 ORACLE_DIM_CAP_PAIR = 8
@@ -114,46 +115,60 @@ def count_instar_classes(n2: int, n3: int) -> int:
     return _half(n2) * _half(n3)
 
 
+def count_unordered_instar_classes(n: int) -> int:
+    """Classes of the two-edge in-star whose two sources have dimension n
+    and can be swapped: unordered pairs of weight classes, h(n)(h(n)+1)/2
+    with h(n) = floor((n+1)/2)."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    h = _half(n)
+    return _exact_div(h * (h + 1), 2)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force Burnside oracles (explicit orbit partition, union-find)
 # ---------------------------------------------------------------------------
+#
+# Each oracle numbers the points of its space 0..size-1 and compiles every
+# generator once, into a table of the images of all dim-n vectors.  The
+# generator is then a stream of point indices, the image of point 0, 1, ...
+# in turn, fed straight into a union-find.  Streams are lazy, so the space
+# is never built and at most one generator's images exist at a time.
 
 
 class UnionFind:
-    def __init__(self, items: Iterable[Hashable]):
-        self.parent = {x: x for x in items}
+    """Union-find over the points 0..size-1, in a flat parent list."""
 
-    def find(self, x: Hashable) -> Hashable:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, points: range):
+        if points != range(len(points)):
+            raise ValueError("union-find points must be range(size)")
+        self.parent = list(points)
 
-    def union(self, x: Hashable, y: Hashable) -> None:
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
 
     def component_count(self) -> int:
-        return sum(1 for x in self.parent if self.parent[x] == x)
+        return sum(1 for x, p in enumerate(self.parent) if x == p)
 
 
-def orbit_count(space: Sequence[Hashable], gens, act: Callable) -> int:
-    """Orbits of a group action, from generator closure with union-find."""
-    uf = UnionFind(space)
-    for g in gens:
-        for x in space:
-            uf.union(x, act(g, x))
+def orbit_count(size: int, images_per_generator: Iterable[Iterable[int]]) -> int:
+    """Orbits of a group action on the points 0..size-1, from generator
+    closure with union-find.  Each generator is given as its image stream:
+    the images of points 0, 1, ..., size-1 in turn."""
+    uf = UnionFind(range(size))
+    for images in images_per_generator:
+        for x, y in enumerate(images):
+            if x != y:
+                uf.union(x, y)
     return uf.component_count()
-
-
-def _permute_bits(images: tuple[int, ...], x: int) -> int:
-    out = 0
-    for i, img in enumerate(images):
-        out |= ((x >> (img - 1)) & 1) << i
-    return out
 
 
 def _top_action(sigma: Permutation, n: int):
@@ -167,17 +182,56 @@ def _top_action(sigma: Permutation, n: int):
     return bar, top, correction
 
 
+def _vector_table(sigma: Permutation, n: int) -> tuple[list[int], int]:
+    """A top-point permutation compiled for dim-n bit vectors: the image
+    T[x] of every x in range(2**n), and the mask of the marked coordinate
+    (0 when sigma fixes n+1).  x is outside the stable set iff x & mask."""
+    bar, marked, corr = _top_action(sigma, n)
+    mask = 0 if marked is None else 1 << (marked - 1)
+    table = [permute_bits(bar, x) ^ (corr if x & mask else 0) for x in range(1 << n)]
+    return table, mask
+
+
 def _group_elements(n_plus_1: int, full_group: bool) -> list[Permutation]:
     if full_group:
         return [
             Permutation(images)
             for images in _itertools_permutations(range(1, n_plus_1 + 1))
         ]
-    if n_plus_1 == 1:
-        return [Permutation.identity(1)]
     return [
         Permutation.transposition(n_plus_1, t, t + 1) for t in range(1, n_plus_1)
     ]
+
+
+def _check_pair_dim(n: int) -> None:
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    if n > ORACLE_DIM_CAP_PAIR:
+        raise OracleBudgetError(
+            f"pair oracle capped at dimension {ORACLE_DIM_CAP_PAIR}"
+        )
+
+
+def _pair_images(table_v: list[int], table_w: list[int]) -> Iterator[int]:
+    """Image stream of (v, w) -> (table_v[v], table_w[w]) on pairs of nonzero
+    vectors, where (v, w) is point (v-1)*N + (w-1) and N = len(table_v) - 1."""
+    nonzero = len(table_v) - 1
+    rows = [(t - 1) * nonzero for t in table_v[1:]]
+    cols = [t - 1 for t in table_w[1:]]
+    return (row + col for row in rows for col in cols)
+
+
+def _swap_images(n: int) -> Iterator[int]:
+    """Image stream of (v, w) -> (w, v) on pairs of nonzero dim-n vectors."""
+    nonzero = (1 << n) - 1
+    return (w * nonzero + v for v in range(nonzero) for w in range(nonzero))
+
+
+def _outstar_streams(n: int, full_group: bool):
+    """Each generator of the out-star action, with its image stream."""
+    for sigma in _group_elements(n + 1, full_group):
+        table, _ = _vector_table(sigma, n)
+        yield sigma, _pair_images(table, table)
 
 
 def outstar_orbit_oracle(n: int, full_group: bool = False) -> int:
@@ -187,26 +241,15 @@ def outstar_orbit_oracle(n: int, full_group: bool = False) -> int:
     the stable set both are just coordinate-permuted, outside it the
     all-ones-except correction is added componentwise.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if n > ORACLE_DIM_CAP_PAIR:
-        raise OracleBudgetError(f"pair oracle capped at dimension {ORACLE_DIM_CAP_PAIR}")
-    nonzero = range(1, 1 << n)
-    space = [(v, w) for v in nonzero for w in nonzero]
+    _check_pair_dim(n)
+    streams = _outstar_streams(n, full_group)
+    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
 
-    def act(sigma: Permutation, x: tuple[int, int]) -> tuple[int, int]:
-        bar, marked, corr = _top_action(sigma, n)
-        v, w = x
-        v2 = _permute_bits(bar, v)
-        w2 = _permute_bits(bar, w)
-        if marked is not None:
-            if (v >> (marked - 1)) & 1:
-                v2 ^= corr
-            if (w >> (marked - 1)) & 1:
-                w2 ^= corr
-        return (v2, w2)
 
-    return orbit_count(space, _group_elements(n + 1, full_group), act)
+def _unordered_outstar_streams(n: int):
+    """The sink swap (generator None), then the out-star generators."""
+    yield None, _swap_images(n)
+    yield from _outstar_streams(n, False)
 
 
 def unordered_outstar_orbit_oracle(n: int) -> int:
@@ -215,28 +258,70 @@ def unordered_outstar_orbit_oracle(n: int) -> int:
 
     The source group acts on each weight as in outstar_orbit_oracle.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if n > ORACLE_DIM_CAP_PAIR:
-        raise OracleBudgetError(f"pair oracle capped at dimension {ORACLE_DIM_CAP_PAIR}")
-    nonzero = range(1, 1 << n)
-    space = [(v, w) for v in nonzero for w in nonzero]
+    _check_pair_dim(n)
+    streams = _unordered_outstar_streams(n)
+    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
 
-    def act(sigma: Permutation | None, x: tuple[int, int]) -> tuple[int, int]:
-        v, w = x
-        if sigma is None:  # the sink swap
-            return (w, v)
-        bar, marked, corr = _top_action(sigma, n)
-        v2 = _permute_bits(bar, v)
-        w2 = _permute_bits(bar, w)
-        if marked is not None:
-            if (v >> (marked - 1)) & 1:
-                v2 ^= corr
-            if (w >> (marked - 1)) & 1:
-                w2 ^= corr
-        return (v2, w2)
 
-    return orbit_count(space, [None, *_group_elements(n + 1, False)], act)
+def _unordered_instar_streams(n: int):
+    """The source swap (generator None), then each source's generators as
+    pairs (permutation at the first source, permutation at the second)."""
+    yield None, _swap_images(n)
+    identity = Permutation.identity(n + 1)
+    fixed = list(range(1 << n))
+    for sigma in _group_elements(n + 1, False):
+        table, _ = _vector_table(sigma, n)
+        yield (sigma, identity), _pair_images(table, fixed)
+        yield (identity, sigma), _pair_images(fixed, table)
+
+
+def unordered_instar_orbit_oracle(n: int) -> int:
+    """Orbit count of the in-star action on pairs (v, w) of nonzero dim-n
+    vectors, the weights of two sources of dimension n over one sink.
+
+    Each source's group acts on its own weight alone, and the swap
+    (v, w) -> (w, v) of the two sources is added as a generator.
+    """
+    _check_pair_dim(n)
+    streams = _unordered_instar_streams(n)
+    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
+
+
+def _path_images(sigma_table: tuple[list[int], int], tb: list[int]) -> Iterator[int]:
+    """Image stream of one path-family generator (sigma, beta), compiled as
+    sigma_table = (ts, mask) and tb, where (u, w, w') is point
+    ((u-1)*(2**m - 1) + (w-1)) * 2**m + w'.
+
+    u -> ts[u] and w -> tb[w]; w' -> tb[w'] when u is stable, else
+    tb[w + w'].  The marked bit of w + w' is the sum of the marked bits of
+    w and w', so tb adds the correction exactly when one of them is marked.
+    """
+    ts, unstable = sigma_table
+    width = len(tb)
+    for u in range(1, len(ts)):
+        base = (ts[u] - 1) * (width - 1) - 1
+        for w in range(1, width):
+            row = (base + tb[w]) * width
+            if u & unstable:
+                yield from (row + tb[w ^ wp] for wp in range(width))
+            else:
+                yield from (row + t for t in tb)
+
+
+def _path_streams(n: int, m: int, full_group: bool):
+    """Each generator (sigma, beta) of the path-family action, with its
+    image stream."""
+    sigmas = _group_elements(n + 1, full_group)
+    betas = _group_elements(m + 1, full_group)
+    if full_group:
+        gens = [(sigma, beta) for sigma in sigmas for beta in betas]
+    else:
+        id_n = Permutation.identity(n + 1)
+        id_m = Permutation.identity(m + 1)
+        gens = [(sigma, id_m) for sigma in sigmas] + [(id_n, beta) for beta in betas]
+    for sigma, beta in gens:
+        beta_table, _ = _vector_table(beta, m)
+        yield (sigma, beta), _path_images(_vector_table(sigma, n), beta_table)
 
 
 def path_orbit_oracle(n: int, m: int, full_group: bool = False) -> int:
@@ -253,48 +338,9 @@ def path_orbit_oracle(n: int, m: int, full_group: bool = False) -> int:
         raise OracleBudgetError(
             f"triple oracle capped at dimension {ORACLE_DIM_CAP_TRIPLE}"
         )
-    space = [
-        (u, w, wp)
-        for u in range(1, 1 << n)
-        for w in range(1, 1 << m)
-        for wp in range(0, 1 << m)
-    ]
-
-    def act(pair, x):
-        sigma, beta = pair
-        u, w, wp = x
-        sbar, smarked, scorr = _top_action(sigma, n)
-        bbar, bmarked, bcorr = _top_action(beta, m)
-        u_stable = smarked is None or not (u >> (smarked - 1)) & 1
-        w_stable = bmarked is None or not (w >> (bmarked - 1)) & 1
-        wp_stable = bmarked is None or not (wp >> (bmarked - 1)) & 1
-        u2 = _permute_bits(sbar, u)
-        if not u_stable:
-            u2 ^= scorr
-        w2 = _permute_bits(bbar, w)
-        if not w_stable:
-            w2 ^= bcorr
-        if u_stable:
-            wp2 = _permute_bits(bbar, wp)
-            if not wp_stable:
-                wp2 ^= bcorr
-        else:
-            wp2 = _permute_bits(bbar, w ^ wp)
-            if w_stable != wp_stable:
-                wp2 ^= bcorr
-        return (u2, w2, wp2)
-
-    id_n = Permutation.identity(n + 1)
-    id_m = Permutation.identity(m + 1)
-    gens = [(sigma, id_m) for sigma in _group_elements(n + 1, full_group)]
-    gens += [(id_n, beta) for beta in _group_elements(m + 1, full_group)]
-    if full_group:
-        gens = [
-            (sigma, beta)
-            for sigma in _group_elements(n + 1, True)
-            for beta in _group_elements(m + 1, True)
-        ]
-    return orbit_count(space, gens, act)
+    size = ((1 << n) - 1) * ((1 << m) - 1) << m
+    streams = _path_streams(n, m, full_group)
+    return orbit_count(size, (images for _, images in streams))
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +446,27 @@ def count_classes_three_vertices_corrected(
     between them has h(n) classes in either direction, two sinks of
     dimension n under one source count as an unordered out-star
     (count_unordered_outstar_classes), and two sources of dimension n over
-    one sink as an unordered pair of weight classes, h(n)(h(n)+1)/2.  Here
-    h(n) = floor((n+1)/2) is the number of single-edge weight classes.
+    one sink as an unordered pair of weight classes
+    (count_unordered_instar_classes).  Here h(n) = floor((n+1)/2) is the
+    number of single-edge weight classes.
     """
     if not 1 <= n1 <= n2 <= n3:
         raise ValueError("need 1 <= n1 <= n2 <= n3")
     if n1 < n2 < n3:
         return count_classes_three_vertices(n1, n2, n3)
     if n1 == n2 == n3:
-        h = _half(n1)
         return _triple_breakdown(
-            h,
+            _half(n1),
             count_unordered_outstar_classes(n1),
-            _exact_div(h * (h + 1), 2),
+            count_unordered_instar_classes(n1),
             count_path_classes(n1, n1),
             "all-equal",
         )
     n, c, branch = _pair_roles(n1, n2, n3)
-    h = _half(n)
     return _triple_breakdown(
-        2 * h + _half(c),
+        2 * _half(n) + _half(c),
         count_outstar_classes(n) + count_unordered_outstar_classes(c),
-        count_instar_classes(n, c) + _exact_div(h * (h + 1), 2),
+        count_instar_classes(n, c) + count_unordered_instar_classes(n),
         count_path_classes(n, n) + count_path_classes(n, c) + count_path_classes(c, n),
         branch,
     )

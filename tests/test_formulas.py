@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from wdag.digraph import DimensionFunction, VWDigraph
@@ -12,6 +14,12 @@ from wdag.formulas import (
     TripleCountBreakdown,
     UnionFind,
     _exact_div,
+    _group_elements,
+    _outstar_streams,
+    _path_streams,
+    _top_action,
+    _unordered_instar_streams,
+    _unordered_outstar_streams,
     brute_three_vertex_breakdown,
     classify_shape,
     count_classes_three_vertices,
@@ -20,13 +28,17 @@ from wdag.formulas import (
     count_instar_classes,
     count_outstar_classes,
     count_path_classes,
+    count_unordered_instar_classes,
     count_unordered_outstar_classes,
     outstar_orbit_oracle,
     outstar_term,
     path_orbit_oracle,
+    unordered_instar_orbit_oracle,
     unordered_outstar_orbit_oracle,
 )
 from wdag.gf2 import GF2Vector
+from wdag.gf2 import permute_bits as _permute_bits
+from wdag.permutation import Permutation
 
 
 class TestTwoVertexFormula:
@@ -92,6 +104,22 @@ class TestUnorderedOutstar:
             unordered_outstar_orbit_oracle(9)
 
 
+class TestUnorderedInstar:
+    def test_pinned_values(self):
+        values = [count_unordered_instar_classes(n) for n in range(1, 9)]
+        assert values == [1, 1, 3, 3, 6, 6, 10, 10]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_oracle_matches(self, n):
+        assert unordered_instar_orbit_oracle(n) == count_unordered_instar_classes(n)
+
+    def test_oracle_budget(self):
+        with pytest.raises(OracleBudgetError):
+            unordered_instar_orbit_oracle(9)
+        with pytest.raises(ValueError):
+            unordered_instar_orbit_oracle(0)
+
+
 class TestPathFamily:
     def test_pinned_values(self):
         assert count_path_classes(2, 2) == 3
@@ -143,6 +171,174 @@ class TestInstar:
             ((1, 2), (3, 2)): count_instar_classes(1, 3),
             ((1, 3), (2, 3)): count_instar_classes(1, 2),
         }
+
+
+# Reference actions: each oracle's group action applied point by point to
+# tuples, recomputing the top-point ingredients for every point.  The oracles
+# compile each generator once into an index stream; these check the streams.
+
+
+def _outstar_act(n):
+    def act(sigma: Permutation, x: tuple[int, int]) -> tuple[int, int]:
+        bar, marked, corr = _top_action(sigma, n)
+        v, w = x
+        v2 = _permute_bits(bar, v)
+        w2 = _permute_bits(bar, w)
+        if marked is not None:
+            if (v >> (marked - 1)) & 1:
+                v2 ^= corr
+            if (w >> (marked - 1)) & 1:
+                w2 ^= corr
+        return (v2, w2)
+
+    return act
+
+
+def _unordered_outstar_act(n):
+    def act(sigma: Permutation | None, x: tuple[int, int]) -> tuple[int, int]:
+        v, w = x
+        if sigma is None:  # the sink swap
+            return (w, v)
+        bar, marked, corr = _top_action(sigma, n)
+        v2 = _permute_bits(bar, v)
+        w2 = _permute_bits(bar, w)
+        if marked is not None:
+            if (v >> (marked - 1)) & 1:
+                v2 ^= corr
+            if (w >> (marked - 1)) & 1:
+                w2 ^= corr
+        return (v2, w2)
+
+    return act
+
+
+def _unordered_instar_act(n):
+    def one(sigma: Permutation, v: int) -> int:
+        bar, marked, corr = _top_action(sigma, n)
+        v2 = _permute_bits(bar, v)
+        if marked is not None and (v >> (marked - 1)) & 1:
+            v2 ^= corr
+        return v2
+
+    def act(pair, x: tuple[int, int]) -> tuple[int, int]:
+        v, w = x
+        if pair is None:  # the source swap
+            return (w, v)
+        sigma, tau = pair
+        return (one(sigma, v), one(tau, w))
+
+    return act
+
+
+def _path_act(n, m):
+    def act(pair, x):
+        sigma, beta = pair
+        u, w, wp = x
+        sbar, smarked, scorr = _top_action(sigma, n)
+        bbar, bmarked, bcorr = _top_action(beta, m)
+        u_stable = smarked is None or not (u >> (smarked - 1)) & 1
+        w_stable = bmarked is None or not (w >> (bmarked - 1)) & 1
+        wp_stable = bmarked is None or not (wp >> (bmarked - 1)) & 1
+        u2 = _permute_bits(sbar, u)
+        if not u_stable:
+            u2 ^= scorr
+        w2 = _permute_bits(bbar, w)
+        if not w_stable:
+            w2 ^= bcorr
+        if u_stable:
+            wp2 = _permute_bits(bbar, wp)
+            if not wp_stable:
+                wp2 ^= bcorr
+        else:
+            wp2 = _permute_bits(bbar, w ^ wp)
+            if w_stable != wp_stable:
+                wp2 ^= bcorr
+        return (u2, w2, wp2)
+
+    return act
+
+
+def _pair_space(n):
+    nonzero = range(1, 1 << n)
+    return [(v, w) for v in nonzero for w in nonzero]
+
+
+def _path_space(n, m):
+    return [
+        (u, w, wp)
+        for u in range(1, 1 << n)
+        for w in range(1, 1 << m)
+        for wp in range(0, 1 << m)
+    ]
+
+
+def _assert_streams_match(streams, space, act) -> list:
+    """Every stream maps point i to the index of the reference image of
+    space[i], and is a bijection of range(len(space)); returns the
+    generators in stream order."""
+    index = {x: i for i, x in enumerate(space)}
+    gens = []
+    for g, images in streams:
+        images = list(images)
+        assert images == [index[act(g, x)] for x in space], g
+        assert sorted(images) == list(range(len(space))), g
+        gens.append(g)
+    return gens
+
+
+class TestCompiledActions:
+    @pytest.mark.parametrize("full_group", (False, True))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_outstar(self, n, full_group):
+        gens = _assert_streams_match(
+            _outstar_streams(n, full_group), _pair_space(n), _outstar_act(n)
+        )
+        assert gens == _group_elements(n + 1, full_group)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_unordered_outstar(self, n):
+        gens = _assert_streams_match(
+            _unordered_outstar_streams(n), _pair_space(n), _unordered_outstar_act(n)
+        )
+        assert gens == [None, *_group_elements(n + 1, False)]
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_unordered_instar(self, n):
+        gens = _assert_streams_match(
+            _unordered_instar_streams(n), _pair_space(n), _unordered_instar_act(n)
+        )
+        identity = Permutation.identity(n + 1)
+        per_source = [
+            pair
+            for sigma in _group_elements(n + 1, False)
+            for pair in ((sigma, identity), (identity, sigma))
+        ]
+        assert gens == [None, *per_source]
+
+    # The full group on (3,3) is left out: its 576 generators cost about 4 s
+    # of reference actions, and generators moving both vertices at once are
+    # already checked on (2,3) and (3,2).
+    @pytest.mark.parametrize(
+        "n,m,full_group",
+        [
+            (n, m, full_group)
+            for n, m in product((1, 2, 3), repeat=2)
+            for full_group in (False, True)
+            if not (full_group and n == m == 3)
+        ],
+    )
+    def test_path(self, n, m, full_group):
+        gens = _assert_streams_match(
+            _path_streams(n, m, full_group), _path_space(n, m), _path_act(n, m)
+        )
+        sigmas = _group_elements(n + 1, full_group)
+        betas = _group_elements(m + 1, full_group)
+        if full_group:
+            assert gens == [(s, b) for s in sigmas for b in betas]
+        else:
+            id_n = Permutation.identity(n + 1)
+            id_m = Permutation.identity(m + 1)
+            assert gens == [(s, id_m) for s in sigmas] + [(id_n, b) for b in betas]
 
 
 class TestExactDivision:
