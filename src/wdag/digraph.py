@@ -12,20 +12,22 @@ reduced scalar matrix.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, specialize
 
-# Listing the underlying unweighted DAGs is capped here; the counts grow
-# like 3, 25, 543, 29281, 3781503 and six vertices is already the limit
-# of what an exhaustive desk run should attempt.
+# Listing the underlying unweighted DAGs, and counting weighted ones, is
+# capped here; the counts grow like 3, 25, 543, 29281, 3781503 and six
+# vertices is already the limit of what an exhaustive desk run should
+# attempt.
 DAG_VERTEX_CAP = 6
 
-# Refusal threshold for weighted enumeration, compared against the loose
-# upper bound prod_i (2^{d_i})^(m-1).
+# Refusal threshold for weighted enumeration, compared against the exact
+# number of graphs, count_acyclic(omega).
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
 
@@ -34,11 +36,11 @@ class BudgetError(RuntimeError):
 
 
 class EnumerationBudgetError(BudgetError):
-    def __init__(self, estimate: int, budget: int):
-        self.estimate = estimate
+    def __init__(self, size: int, budget: int):
+        self.size = size
         self.budget = budget
         super().__init__(
-            f"enumeration refused: loose size bound {estimate} exceeds budget {budget}"
+            f"enumeration refused: {size} acyclic graphs exceed budget {budget}"
         )
 
 
@@ -162,10 +164,9 @@ class VWDigraph:
                 raise ValueError(f"edge ({i},{j}) outside 1..{m}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if w.dim != omega.dim(i):
-                raise ValueError(
-                    f"edge ({i},{j}) weight has dimension {w.dim}, want {omega.dim(i)}"
-                )
+            want = omega.dims[i - 1]
+            if w.dim != want:
+                raise ValueError(f"edge ({i},{j}) weight has dimension {w.dim}, want {want}")
             if w.is_zero:
                 raise ValueError(f"edge ({i},{j}) carries the zero vector")
             if key[(i - 1) * m + j - 1]:
@@ -392,49 +393,111 @@ def scalar_reduced_matrices(m: int) -> Iterator[GF2Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_vectors(dim: int) -> list[GF2Vector]:
-    vs = [GF2Vector(dim, bits) for bits in range(1, 1 << dim)]
-    vs.sort(key=GF2Vector.to_string)
-    return vs
+def _row_tables(omega: DimensionFunction) -> list[list[tuple[int, tuple]]]:
+    """For each vertex i, every possible row i of the key in serial order,
+    as (out-set bitmask, edge items (i, j, weight)).
 
-
-def enumeration_bound(omega: DimensionFunction) -> int:
-    """Loose upper bound on the number of weighted acyclic graphs."""
-    bound = 1
-    for d in omega.dims:
-        bound *= (1 << d) ** (omega.m - 1)
-    return bound
+    A row is a product over its positions of the zero value and the
+    nonzero values sorted by their bit strings; the zero string sorts
+    first, and the diagonal allows only zero.  One ``GF2Vector`` per
+    weight is shared by every row and every graph.
+    """
+    dims = omega.dims
+    m = len(dims)
+    # A single vertex has no off-diagonal position, whatever its dimension.
+    strings = {t.dim: t for t in _serial_tables(dims)} if m > 1 else {}
+    weights = {
+        d: [GF2Vector(d, bits) for bits in sorted(range(1, 1 << d), key=t.__getitem__)]
+        for d, t in strings.items()
+    }
+    tables = []
+    for i, d in enumerate(dims, start=1):
+        choices = [[(0, ())] for _ in dims]
+        for j in range(1, m + 1):
+            if j != i:
+                choices[j - 1] += [(1 << (j - 1), ((i, j, w),)) for w in weights[d]]
+        table = []
+        for row in product(*choices):
+            mask, items = 0, ()
+            for bit, item in row:
+                mask |= bit
+                items += item
+            table.append((mask, items))
+        tables.append(table)
+    return tables
 
 
 def enumerate_acyclic(
     omega: DimensionFunction, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Iterator[VWDigraph]:
-    """Every acyclic weighted digraph exactly once, sorted by serialized matrix."""
-    bound = enumeration_bound(omega)
-    if bound > budget:
-        raise EnumerationBudgetError(bound, budget)
-    choices = {d: _nonzero_vectors(d) for d in set(omega.dims)}
-    graphs = []
-    for edges in dag_census(omega.m):
-        pools = [choices[omega.dim(i)] for i, _ in edges]
-        for assignment in product(*pools):
-            graphs.append(
-                VWDigraph(omega, [(i, j, w) for (i, j), w in zip(edges, assignment)])
-            )
-    graphs.sort(key=lambda g: g.serial)
-    yield from graphs
+    """Every acyclic weighted digraph exactly once, in increasing ``serial``.
+
+    ``serial`` joins fixed-width strings, one per key position, in
+    row-major order, so serial order is the lexicographic order of rows
+    1..m.  The search chooses rows 1..m in turn from the row tables.  A
+    cycle among rows 1..i passes through its highest vertex i, so row i
+    may not point at a vertex that already reaches i.  Graphs are
+    streamed, never stored; a refusal is raised at the first ``next()``.
+    """
+    size = count_acyclic(omega)
+    if size > budget:
+        raise EnumerationBudgetError(size, budget)
+    tables = _row_tables(omega)
+    last = omega.m - 1
+    allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
+
+    def choose(i: int, masks: tuple[int, ...], prefix: tuple) -> Iterator[VWDigraph]:
+        # Reverse search from vertex i+1 over the out-sets of rows 1..i.
+        reach, grew = 1 << i, True
+        while grew:
+            grew = False
+            for k, out in enumerate(masks):
+                if out & reach and not reach >> k & 1:
+                    reach |= 1 << k
+                    grew = True
+        rows = allowed.get((i, reach))
+        if rows is None:
+            rows = allowed[(i, reach)] = [r for r in tables[i] if not r[0] & reach]
+        if i == last:
+            for _, items in rows:
+                yield VWDigraph(omega, prefix + items)
+        else:
+            for out, items in rows:
+                yield from choose(i + 1, masks + (out,), prefix + items)
+
+    yield from choose(0, (), ())
 
 
 def count_acyclic(omega: DimensionFunction) -> int:
-    """Number of acyclic weighted digraphs: sum over DAGs of
-    prod_i (2^{dim(i)} - 1)^{outdeg(i)}."""
-    total = 0
-    for edges in dag_census(omega.m):
-        term = 1
-        for i, _ in edges:
-            term *= (1 << omega.dim(i)) - 1
-        total += term
-    return total
+    """Number of acyclic weighted digraphs, by inclusion-exclusion over the
+    set S of sources:
+
+        A(V) = sum over nonempty S in V of
+               (-1)^{|S|+1} 2^{|V-S| sum_{s in S} d_s} A(V-S),
+
+    since each source may send any vector, zero included, to each vertex
+    outside S.  O(3^m) over the vertex subsets.
+    """
+    m = omega.m
+    if m > DAG_VERTEX_CAP:
+        raise VertexCapError(m)
+    full = (1 << m) - 1
+    size = [0] * (full + 1)
+    dim_sum = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        size[mask] = size[mask ^ low] + 1
+        dim_sum[mask] = dim_sum[mask ^ low] + omega.dims[low.bit_length() - 1]
+    count = [1] + [0] * full
+    for vs in range(1, full + 1):
+        total, sources = 0, vs
+        while sources:
+            rest = vs ^ sources
+            term = count[rest] << (size[rest] * dim_sum[sources])
+            total += term if size[sources] & 1 else -term
+            sources = (sources - 1) & vs
+        count[vs] = total
+    return count[full]
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +553,14 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
 
 
 def graph_to_json(g: VWDigraph) -> dict:
+    m = g.omega.m
+    strings = _serial_tables(g.omega.dims)
     return {
         "omega": list(g.omega.dims),
         "edges": [
-            {"from": i, "to": j, "weight": w.to_string()} for i, j, w in g.edges
+            {"from": p // m + 1, "to": p % m + 1, "weight": strings[p][bits]}
+            for p, bits in enumerate(g.key)
+            if bits
         ],
     }
 

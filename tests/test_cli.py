@@ -99,6 +99,13 @@ class TestEnumerate:
         assert main(["enumerate", "--omega", "2,3", "--limit", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    def test_limit_streams_a_large_shape(self, capsys):
+        # 5,140,479 graphs: within the budget, and only three are built.
+        assert main(["enumerate", "--omega", "3,3,3,3", "--limit", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[0]) == {"omega": [3, 3, 3, 3], "edges": []}
+
     def test_budget_exceeded_exits_one(self, capsys):
         assert main(["enumerate", "--omega", "6,6,6,6"]) == 1
         err = capsys.readouterr().err

@@ -202,6 +202,40 @@ class TestMembership:
             graph_from_reduced(bad)
 
 
+def _nonzero_vectors(dim: int) -> list[GF2Vector]:
+    vs = [GF2Vector(dim, bits) for bits in range(1, 1 << dim)]
+    vs.sort(key=GF2Vector.to_string)
+    return vs
+
+
+def reference_enumeration(omega: DimensionFunction) -> list[VWDigraph]:
+    """The former list-and-sort body of enumerate_acyclic, kept verbatim as
+    the reference for the streamed order: weight every census DAG, hold
+    every graph, sort by serial."""
+    choices = {d: _nonzero_vectors(d) for d in set(omega.dims)}
+    graphs = []
+    for edges in dag_census(omega.m):
+        pools = [choices[omega.dim(i)] for i, _ in edges]
+        for assignment in product(*pools):
+            graphs.append(
+                VWDigraph(omega, [(i, j, w) for (i, j), w in zip(edges, assignment)])
+            )
+    graphs.sort(key=lambda g: g.serial)
+    return graphs
+
+
+def census_count(omega: DimensionFunction) -> int:
+    """The former count_acyclic: sum over census DAGs of
+    prod_i (2^{dim(i)} - 1)^{outdeg(i)}."""
+    total = 0
+    for edges in dag_census(omega.m):
+        term = 1
+        for i, _ in edges:
+            term *= (1 << omega.dim(i)) - 1
+        total += term
+    return total
+
+
 def pairwise_count(x1, x2, x3):
     # Independent three-vertex count: orient each vertex pair freely and
     # subtract the two directed triangles.
@@ -241,7 +275,55 @@ class TestCounting:
         omega = DimensionFunction.of(6, 6, 6, 6)
         with pytest.raises(EnumerationBudgetError) as err:
             next(enumerate_acyclic(omega))
-        assert err.value.estimate == (1 << 6) ** 12
+        assert err.value.size == 1_610_715_496_447
+        assert "1610715496447" in str(err.value) and "budget" in str(err.value)
+
+    def test_budget_is_the_exact_size(self):
+        omega = DimensionFunction.of(2, 2)
+        assert len(list(enumerate_acyclic(omega, budget=7))) == 7
+        with pytest.raises(EnumerationBudgetError) as err:
+            next(enumerate_acyclic(omega, budget=6))
+        assert (err.value.size, err.value.budget) == (7, 6)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [dims for m in (1, 2, 3, 4) for dims in product((1, 2, 3), repeat=m)]
+        + [(1, 1, 1, 1, 1)],
+    )
+    def test_source_recurrence_equals_census_sum(self, dims):
+        omega = DimensionFunction(dims)
+        assert count_acyclic(omega) == census_count(omega)
+
+    def test_unit_dimensions_count_the_dags(self):
+        for m in range(1, DAG_VERTEX_CAP + 1):
+            assert count_acyclic(DimensionFunction((1,) * m)) == count_dags(m)
+        with pytest.raises(VertexCapError):
+            count_acyclic(DimensionFunction((1,) * (DAG_VERTEX_CAP + 1)))
+
+
+class TestStreamedEnumeration:
+    @pytest.mark.parametrize(
+        "dims",
+        [dims for m in (1, 2, 3) for dims in product((1, 2, 3), repeat=m)]
+        + list(product((1, 2), repeat=4))
+        + [(1, 1, 1, 1, 1)],
+    )
+    def test_same_sequence_as_list_and_sort(self, dims):
+        omega = DimensionFunction(dims)
+        streamed = list(enumerate_acyclic(omega))
+        assert [g.key for g in streamed] == [g.key for g in reference_enumeration(omega)]
+        for g in streamed:
+            assert g == VWDigraph(omega, g.edges)
+
+    def test_first_graph_arrives_without_the_rest(self):
+        omega = DimensionFunction.of(3, 3, 3, 3)
+        assert count_acyclic(omega) == 5_140_479
+        assert next(enumerate_acyclic(omega)) == VWDigraph(omega)
+
+    def test_five_five_five_streams(self):
+        omega = DimensionFunction.of(5, 5, 5)
+        n = sum(1 for _ in enumerate_acyclic(omega))
+        assert n == count_acyclic(omega) == 190_465
 
 
 class TestVanishingSums:
@@ -278,6 +360,14 @@ class TestJson:
         assert froms == sorted(froms)
         assert graph_from_json(doc) == fig_graph
         assert loads_graph(dumps_graph(fig_graph)) == fig_graph
+
+    def test_weights_print_as_bit_strings(self):
+        omega = DimensionFunction.of(1, 2, 3)
+        for g in enumerate_acyclic(omega):
+            doc = graph_to_json(g)
+            assert doc["edges"] == [
+                {"from": i, "to": j, "weight": w.to_string()} for i, j, w in g.edges
+            ]
 
     def test_malformed_document(self):
         with pytest.raises(ValueError):
