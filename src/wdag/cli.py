@@ -17,6 +17,7 @@ from .digraph import (
     BudgetError,
     DimensionFunction,
     count_acyclic,
+    count_dags,
     dumps_graph,
     enumerate_acyclic,
     graph_from_json,
@@ -190,6 +191,8 @@ def _cmd_orbit(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+# A check yields (label, ok, detail) lines for a max_n; a suite is a tuple of
+# checks.  The acceptance tests call the same checks.
 
 
 def _small_shapes(max_dim: int, max_vertices: int) -> Iterable[DimensionFunction]:
@@ -198,7 +201,7 @@ def _small_shapes(max_dim: int, max_vertices: int) -> Iterable[DimensionFunction
             yield DimensionFunction(dims)
 
 
-def _suite_identities(max_n: int):
+def _check_identities(max_n: int):
     for name in cyclestats.IDENTITY_NAMES:
         report = cyclestats.verify_identity(name, max_n)
         yield f"identity {name} (max_n={max_n})", report.ok, "; ".join(
@@ -232,7 +235,7 @@ def _suite_identities(max_n: int):
         yield f"cycle census agreement n={n}", ok, ""
 
 
-def _suite_burnside(max_n: int):
+def _check_burnside_oracles(max_n: int):
     for n in range(1, min(max_n, 6) + 1):
         closed = formulas.count_outstar_classes(n)
         via_term = formulas.outstar_term(n)
@@ -267,8 +270,12 @@ def _suite_burnside(max_n: int):
                 closed == oracle,
                 f"closed={closed} oracle={oracle}",
             )
-    for n1 in range(1, min(max_n, 4) + 1):
-        for n2 in range(n1, min(max_n, 4) + 1):
+
+
+def _check_two_vertex(max_n: int):
+    cap = min(max_n, 5)
+    for n1 in range(1, cap + 1):
+        for n2 in range(1, cap + 1):
             closed = formulas.count_classes_two_vertices(n1, n2)
             brute = count_equivalence_classes(DimensionFunction.of(n1, n2))
             yield (
@@ -278,9 +285,8 @@ def _suite_burnside(max_n: int):
             )
 
 
-def _suite_oracle(max_n: int):
-    shapes = [(1, 2), (2, 2), (1, 2, 3)]
-    for dims in shapes:
+def _check_facet_action(max_n: int):
+    for dims in [(1, 2), (2, 2), (1, 2, 3)]:
         omega = DimensionFunction(dims)
         bad = 0
         total = 0
@@ -304,14 +310,15 @@ def _suite_oracle(max_n: int):
         )
 
 
-def _suite_roundtrip(max_n: int):
+def _check_round_trip(max_n: int):
     for omega in _small_shapes(2, 3):
-        ok = True
-        for g in enumerate_acyclic(omega):
-            if graph_from_reduced(reduced_matrix(g)) != g:
-                ok = False
-                break
+        ok = all(
+            graph_from_reduced(reduced_matrix(g)) == g for g in enumerate_acyclic(omega)
+        )
         yield f"graph<->matrix round trip dims={omega.dims}", ok, ""
+
+
+def _check_count_acyclic(max_n: int):
     for omega in _small_shapes(3, 3):
         counted = count_acyclic(omega)
         listed = sum(1 for _ in enumerate_acyclic(omega))
@@ -320,34 +327,62 @@ def _suite_roundtrip(max_n: int):
             counted == listed,
             f"count={counted} enumeration={listed}",
         )
+
+
+def _nonvanishing_sum(mat) -> str:
+    """Names the first derangement or cycle sum of mat that is not 0."""
+    n = mat.n
+    vertices = range(1, n + 1)
+    where = f"n={n} rows={mat.rows}"
+    if derangement_sum(mat) != 0:
+        return f"derangement sum, {where}"
+    for size in range(n - 1):
+        for blocked in combinations(vertices, size):
+            for i in vertices:
+                if i not in blocked and cycle_sum(mat, blocked, i) != 0:
+                    return f"cycle sum blocked={blocked} vertex={i}, {where}"
+    return ""
+
+
+def _check_vanishing_sums(max_n: int):
     for n in range(2, min(max_n, 4) + 1):
-        ok = True
-        for mat in scalar_reduced_matrices(n):
-            if derangement_sum(mat) != 0:
-                ok = False
-                break
-            if n >= 3:
-                vertices = set(range(1, n + 1))
-                for size in range(0, n - 1):
-                    for blocked in combinations(sorted(vertices), size):
-                        for i in sorted(vertices - set(blocked)):
-                            if cycle_sum(mat, blocked, i) != 0:
-                                ok = False
-                                break
-        yield f"vanishing sums n={n}", ok, ""
+        members = list(scalar_reduced_matrices(n))
+        failure = next(filter(None, map(_nonvanishing_sum, members)), "")
+        dags = count_dags(n)
+        yield (
+            f"vanishing sums n={n}",
+            not failure and len(members) == dags,
+            failure or f"{len(members)} members, count_dags({n})={dags}",
+        )
+
+
+def _check_three_vertex_classes(max_n: int):
+    cap = min(max_n, 4)
+    for n1 in range(1, cap + 1):
+        for n2 in range(n1, cap + 1):
+            for n3 in range(n2, cap + 1):
+                corrected = formulas.count_classes_three_vertices_corrected(n1, n2, n3)
+                brute = formulas.brute_three_vertex_breakdown(n1, n2, n3)
+                same = corrected.per_type == brute.per_type
+                detail = f"corrected={corrected.per_type} brute={brute.per_type}"
+                yield f"three-vertex classes ({n1},{n2},{n3})", same, detail
+
+
+SUITES = {
+    "identities": (_check_identities,),
+    "burnside": (_check_burnside_oracles, _check_two_vertex),
+    "oracle": (_check_facet_action,),
+    "roundtrip": (_check_round_trip, _check_count_acyclic, _check_vanishing_sums),
+    "classes": (_check_three_vertex_classes,),
+}
 
 
 def _cmd_verify(args) -> int:
-    suites = {
-        "identities": _suite_identities,
-        "burnside": _suite_burnside,
-        "oracle": _suite_oracle,
-        "roundtrip": _suite_roundtrip,
-    }
-    chosen = list(suites) if args.suite == "all" else [args.suite]
+    chosen = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in chosen:
-        for label, ok, detail in suites[name](args.max_n):
+        lines = (line for check in SUITES[name] for line in check(args.max_n))
+        for label, ok, detail in lines:
             if ok:
                 print(f"ok   {name}: {label}")
             else:
@@ -454,11 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.set_defaults(func=_cmd_orbit)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=["identities", "burnside", "oracle", "roundtrip", "all"],
-    )
+    p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
     p_verify.set_defaults(func=_cmd_verify)
 

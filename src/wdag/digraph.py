@@ -257,11 +257,6 @@ def is_acyclic(g: VWDigraph) -> bool:
     return seen == m
 
 
-def adjacency_matrix(g: VWDigraph) -> VectorMatrix:
-    """Entry (i,j) is the weight of edge (i,j), zero when absent."""
-    return VectorMatrix.from_entries(g.omega, dict(((i, j), w) for i, j, w in g.edges))
-
-
 def reduced_matrix(g: VWDigraph) -> VectorMatrix:
     """Adjacency matrix plus the all-ones diagonal; requires an acyclic graph."""
     if not is_acyclic(g):
@@ -579,7 +574,3 @@ def graph_from_json(doc: dict) -> VWDigraph:
 
 def dumps_graph(g: VWDigraph) -> str:
     return json.dumps(graph_to_json(g), separators=(", ", ": "))
-
-
-def loads_graph(text: str) -> VWDigraph:
-    return graph_from_json(json.loads(text))

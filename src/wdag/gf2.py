@@ -59,29 +59,12 @@ class GF2Vector:
         return cls(len(text), bits)
 
     @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "GF2Vector":
-        bits = 0
-        for k, c in enumerate(coords, start=1):
-            if c not in (0, 1):
-                raise ValueError(f"coordinate {c!r} is not a GF(2) scalar")
-            if c:
-                bits |= 1 << (k - 1)
-        return cls(len(coords), bits)
-
-    @classmethod
     def zero(cls, dim: int) -> "GF2Vector":
         return cls(dim, 0)
 
     @classmethod
     def all_ones(cls, dim: int) -> "GF2Vector":
         return cls(dim, (1 << dim) - 1)
-
-    @classmethod
-    def all_ones_except(cls, dim: int, k: int) -> "GF2Vector":
-        """The vector with every coordinate 1 except the k-th."""
-        if not 1 <= k <= dim:
-            raise ValueError(f"coordinate {k} outside 1..{dim}")
-        return cls(dim, ((1 << dim) - 1) ^ (1 << (k - 1)))
 
     def __repr__(self) -> str:
         return f"GF2Vector({self.to_string()!r})"
@@ -165,9 +148,6 @@ class GF2Matrix:
                 j += 1
             out.append(acc)
         return GF2Matrix(self.n, tuple(out))
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
 
 
 def gf2_det(m: GF2Matrix) -> int:

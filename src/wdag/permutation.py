@@ -28,10 +28,6 @@ class Permutation:
             raise ValueError(f"point {i} outside 1..{self.degree}")
         return self.images[i - 1]
 
-    @property
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, img in enumerate(self.images):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wdag import formulas
+from wdag import cli, formulas
 from wdag.cli import main
 
 FIG_GRAPH = {
@@ -240,6 +240,22 @@ class TestVerify:
     def test_burnside_suite(self, capsys):
         assert main(["verify", "--suite", "burnside", "--max-n", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_classes_suite(self, capsys):
+        assert main(["verify", "--suite", "classes", "--max-n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "ok   classes: three-vertex classes (1,2,2)" in out
+        assert "FAIL" not in out
+
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        def broken(max_n):
+            yield "broken check", False, "detail"
+
+        monkeypatch.setitem(cli.SUITES, "oracle", (broken,))
+        assert main(["verify", "--suite", "oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL oracle: broken check (detail)" in out
+        assert "1 failure(s)" in out
 
 
 class TestTable:

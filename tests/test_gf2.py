@@ -25,15 +25,10 @@ class TestVector:
         v = GF2Vector.from_string("101")
         assert v.coords() == (1, 0, 1)
         assert v.to_string() == "101"
-        assert GF2Vector.from_coords((1, 0, 1)) == v
 
     def test_bit_is_one_indexed(self):
         v = GF2Vector.from_string("100")
         assert v.bit(1) == 1 and v.bit(2) == 0 and v.bit(3) == 0
-
-    def test_all_ones_except(self):
-        assert GF2Vector.all_ones_except(3, 1).to_string() == "011"
-        assert GF2Vector.all_ones_except(1, 1).to_string() == "0"
 
     def test_validation(self):
         with pytest.raises(ValueError):
