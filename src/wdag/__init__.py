@@ -24,7 +24,7 @@ from .equivalence import (
     sigma_k_local_complement,
     sigma_local_complement,
 )
-from .gf2 import GF2Matrix, GF2Vector, gf2_add, gf2_det, gf2_inverse, gf2_permute
+from .gf2 import GF2Matrix, GF2Vector, gf2_det, gf2_permute
 from .permutation import Permutation
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "count_equivalence_classes",
     "enumerate_acyclic",
     "facet_permutation_action",
-    "gf2_add",
     "gf2_det",
-    "gf2_inverse",
     "gf2_permute",
     "graph_from_json",
     "graph_to_json",

@@ -120,6 +120,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit must be at least 0, got {args.limit}")
     omega = _parse_omega(args.omega)
     emitted = 0
     for g in enumerate_acyclic(omega):
@@ -378,16 +380,22 @@ SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
     chosen = list(SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
+    checks = failures = 0
     for name in chosen:
         lines = (line for check in SUITES[name] for line in check(args.max_n))
         for label, ok, detail in lines:
+            checks += 1
             if ok:
                 print(f"ok   {name}: {label}")
             else:
                 failures += 1
                 print(f"FAIL {name}: {label}" + (f" ({detail})" if detail else ""))
+    if not checks:
+        print("no checks ran")
+        return 1
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0
 

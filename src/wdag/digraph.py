@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, specialize
@@ -204,16 +205,9 @@ class VWDigraph:
         bits = self._bits(i, j)
         return GF2Vector(self.omega.dims[i - 1], bits) if bits else None
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._bits(i, j) != 0
-
     def out_neighbors(self, v: int) -> list[int]:
         m = self.omega.m
         return [j for j in range(1, m + 1) if self._bits(v, j)]
-
-    def in_neighbors(self, v: int) -> list[int]:
-        m = self.omega.m
-        return [i for i in range(1, m + 1) if self._bits(i, v)]
 
     @property
     def serial(self) -> str:
@@ -348,7 +342,7 @@ def count_dags(m: int) -> int:
     if m == 0:
         return 1
     return sum(
-        _binomial(m, size) * _layered(m - size, size, 0) for size in range(1, m + 1)
+        comb(m, size) * _layered(m - size, size, 0) for size in range(1, m + 1)
     )
 
 
@@ -360,18 +354,11 @@ def _layered(remaining: int, prev: int, earlier: int) -> int:
         return 1
     per_vertex = ((1 << prev) - 1) * (1 << earlier)
     return sum(
-        _binomial(remaining, size)
+        comb(remaining, size)
         * per_vertex**size
         * _layered(remaining - size, size, earlier + prev)
         for size in range(1, remaining + 1)
     )
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def scalar_reduced_matrices(m: int) -> Iterator[GF2Matrix]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Union
+from typing import Iterator, Union
 
 from .digraph import (
     BudgetError,
@@ -323,20 +323,19 @@ def orbit(
     return OrbitReport(canonical=canonical, size=len(seen), members=members)
 
 
-def count_equivalence_classes(
-    omega: DimensionFunction,
-    enumeration_budget: int | None = None,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
-) -> int:
-    """Partition all acyclic weighted digraphs into orbits; return the count."""
-    kwargs = {} if enumeration_budget is None else {"budget": enumeration_budget}
+def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
+    """Every orbit of the acyclic graphs of shape omega once, with its
+    members.  Enumeration runs in serial order, so each orbit is met first
+    at its canonical member and the canonical members arrive in strictly
+    increasing serial order."""
     seen: set[tuple[int, ...]] = set()
-    classes = 0
-    for g in enumerate_acyclic(omega, **kwargs):
-        if g.key in seen:
-            continue
-        report = orbit(g, include_members=True, budget=orbit_budget)
-        assert report.members is not None
-        seen.update(member.key for member in report.members)
-        classes += 1
-    return classes
+    for g in enumerate_acyclic(omega):
+        if g.key not in seen:
+            report = orbit(g, include_members=True)
+            seen.update(member.key for member in report.members)
+            yield report
+
+
+def count_equivalence_classes(omega: DimensionFunction) -> int:
+    """Partition all acyclic weighted digraphs into orbits; return the count."""
+    return sum(1 for _ in orbits(omega))

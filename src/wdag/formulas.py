@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
-from .digraph import BudgetError, DimensionFunction, VWDigraph, enumerate_acyclic
-from .equivalence import orbit
+from .digraph import BudgetError, DimensionFunction, VWDigraph
+from .equivalence import orbits
 from .gf2 import permute_bits
 from .permutation import Permutation, reduce_top
 
@@ -492,22 +492,11 @@ def classify_shape(g: VWDigraph) -> str:
     return FAMILY_PATH
 
 
-def brute_three_vertex_breakdown(
-    n1: int, n2: int, n3: int, enumeration_budget: int | None = None
-) -> TripleCountBreakdown:
+def brute_three_vertex_breakdown(n1: int, n2: int, n3: int) -> TripleCountBreakdown:
     """Orbit-enumeration counterpart of the three-vertex closed forms:
-    partitions every acyclic weighted digraph into orbits and tallies the
-    classes per shape family."""
-    omega = DimensionFunction.of(n1, n2, n3)
-    kwargs = {} if enumeration_budget is None else {"budget": enumeration_budget}
+    tallies the classes of equivalence.orbits per shape family."""
     per_type = {family: 0 for family in _FAMILIES}
-    seen: set[tuple[int, ...]] = set()
-    for g in enumerate_acyclic(omega, **kwargs):
-        if g.key in seen:
-            continue
-        report = orbit(g, include_members=True)
-        assert report.members is not None
-        seen.update(member.key for member in report.members)
+    for report in orbits(DimensionFunction.of(n1, n2, n3)):
         per_type[classify_shape(report.canonical)] += 1
     return TripleCountBreakdown(
         total=sum(per_type.values()), per_type=per_type, branch="brute-force"

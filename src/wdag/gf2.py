@@ -41,9 +41,6 @@ class GF2Vector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def coords(self) -> tuple[int, ...]:
-        return tuple(self.bit(k) for k in range(1, self.dim + 1))
-
     def to_string(self) -> str:
         """Bit string with coordinate 1 leftmost, e.g. (1,0,1) -> "101"."""
         return "".join(str(self.bit(k)) for k in range(1, self.dim + 1))
@@ -68,13 +65,6 @@ class GF2Vector:
 
     def __repr__(self) -> str:
         return f"GF2Vector({self.to_string()!r})"
-
-
-def gf2_add(a: GF2Vector, b: GF2Vector) -> GF2Vector:
-    """Coordinatewise sum mod 2."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return GF2Vector(a.dim, a.bits ^ b.bits)
 
 
 def gf2_permute(sigma: Permutation, v: GF2Vector) -> GF2Vector:
@@ -134,21 +124,6 @@ class GF2Matrix:
             packed.append(bits)
         return cls(len(packed), tuple(packed))
 
-    def mul(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch in matrix product")
-        out = []
-        for r in self.rows:
-            acc = 0
-            j = 0
-            while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
-            out.append(acc)
-        return GF2Matrix(self.n, tuple(out))
-
 
 def gf2_det(m: GF2Matrix) -> int:
     """Determinant over GF(2) by Gaussian elimination on bit-packed rows."""
@@ -164,23 +139,6 @@ def gf2_det(m: GF2Matrix) -> int:
             if rows[r] & mask:
                 rows[r] ^= rows[col]
     return 1
-
-
-def gf2_inverse(m: GF2Matrix) -> GF2Matrix:
-    """Inverse over GF(2); raises ValueError on a singular input."""
-    n = m.n
-    # Augment each row with the identity in the high bits.
-    rows = [m.rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        mask = 1 << col
-        pivot = next((r for r in range(col, n) if rows[r] & mask), None)
-        if pivot is None:
-            raise ValueError("singular matrix over GF(2)")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and rows[r] & mask:
-                rows[r] ^= rows[col]
-    return GF2Matrix(n, tuple(row >> n for row in rows))
 
 
 def all_principal_minors_one(m: GF2Matrix) -> bool:

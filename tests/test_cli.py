@@ -111,6 +111,12 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert "budget" in err
 
+    def test_negative_limit_is_usage_error(self, capsys):
+        assert main(["enumerate", "--omega", "1,1", "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
+
 
 class TestApply:
     def test_sigma_k_lc_golden(self, capsys, fig_path):
@@ -256,6 +262,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL oracle: broken check (detail)" in out
         assert "1 failure(s)" in out
+
+    @pytest.mark.parametrize("suite,max_n", [("classes", "0"), ("burnside", "-3")])
+    def test_max_n_below_one_is_usage_error(self, capsys, suite, max_n):
+        assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert "all checks passed" not in captured.out
+        assert "--max-n" in captured.err
+
+    def test_no_check_lines_exits_one(self, capsys, monkeypatch):
+        def silent(max_n):
+            return iter(())
+
+        monkeypatch.setitem(cli.SUITES, "oracle", (silent,))
+        assert main(["verify", "--suite", "oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "all checks passed" not in out
+        assert "no checks ran" in out
 
 
 class TestTable:

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
 from wdag.digraph import (
     DimensionFunction,
     VWDigraph,
+    count_acyclic,
     dag_census,
     enumerate_acyclic,
     is_acyclic,
@@ -15,6 +19,7 @@ from wdag.equivalence import (
     facet_permutation_action,
     local_complement,
     orbit,
+    orbits,
     permute_out_weights,
     reorder_vertices,
     sigma_k_local_complement,
@@ -25,6 +30,17 @@ from wdag.gf2 import GF2Vector
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
 SIGMA = Permutation.from_cycles(3, (1, 2, 3))
+
+SWEEP_SHAPES = [
+    *(
+        dims
+        for m in range(1, 4)
+        for dims in combinations_with_replacement(range(1, 4), m)
+    ),
+    (1, 1, 1, 1),
+    (1, 1, 1, 2),
+    (1, 1, 2, 2),
+]
 
 
 def graph(dims, edges):
@@ -318,6 +334,24 @@ class TestClassCounts:
         # No closed form at four vertices; 19 is the frozen orbit count of
         # the 543 graphs, pinned to catch generator regressions.
         assert count_equivalence_classes(DimensionFunction.of(1, 1, 1, 1)) == 19
+
+    @pytest.mark.parametrize("dims", SWEEP_SHAPES)
+    def test_orbits_partition_the_space(self, dims):
+        omega = DimensionFunction(dims)
+        reports = list(orbits(omega))
+        sizes = [report.size for report in reports]
+        members = {g.key for report in reports for g in report.members}
+        enumerated = sum(1 for _ in enumerate_acyclic(omega))
+        assert sum(sizes) == len(members) == count_acyclic(omega) == enumerated
+        # Orbit-stabiliser: each orbit size divides the order of the group
+        # the generators span, the facet permutations of every vertex times
+        # the swaps of equal-dimension vertices.
+        group_order = prod(factorial(d + 1) for d in dims) * prod(
+            factorial(k) for k in Counter(dims).values()
+        )
+        assert all(group_order % size == 0 for size in sizes)
+        serials = [report.canonical.serial for report in reports]
+        assert all(a < b for a, b in zip(serials, serials[1:]))
 
     def test_orbit_rejects_cyclic_input(self):
         g = VWDigraph(

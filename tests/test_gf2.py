@@ -1,4 +1,3 @@
-import random
 from itertools import product
 
 import pytest
@@ -11,9 +10,7 @@ from wdag.gf2 import (
     GF2Matrix,
     GF2Vector,
     all_principal_minors_one,
-    gf2_add,
     gf2_det,
-    gf2_inverse,
     gf2_permute,
     specialize,
 )
@@ -23,7 +20,6 @@ from wdag.permutation import Permutation
 class TestVector:
     def test_string_round_trip(self):
         v = GF2Vector.from_string("101")
-        assert v.coords() == (1, 0, 1)
         assert v.to_string() == "101"
 
     def test_bit_is_one_indexed(self):
@@ -37,32 +33,6 @@ class TestVector:
             GF2Vector(2, 4)
         with pytest.raises(ValueError):
             GF2Vector.from_string("10x")
-
-
-class TestAdd:
-    def test_worked_example(self):
-        # The relabeled graph's v1->v2 weight: (1,0) + (1,1) = (0,1).
-        a = GF2Vector.from_string("10")
-        b = GF2Vector.from_string("11")
-        assert gf2_add(a, b).to_string() == "01"
-
-    def test_identity_case(self):
-        v = GF2Vector.from_string("101")
-        assert gf2_add(v, GF2Vector.zero(3)) == v
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gf2_add(GF2Vector.zero(2), GF2Vector.zero(3))
-
-    @given(st.data())
-    def test_group_laws(self, data):
-        dim = data.draw(st.integers(min_value=1, max_value=8))
-        a = data.draw(vectors(dim))
-        b = data.draw(vectors(dim))
-        c = data.draw(vectors(dim))
-        assert gf2_add(a, b) == gf2_add(b, a)
-        assert gf2_add(gf2_add(a, b), c) == gf2_add(a, gf2_add(b, c))
-        assert gf2_add(a, a) == GF2Vector.zero(dim)
 
 
 class TestPermute:
@@ -103,39 +73,14 @@ class TestDetInverse:
     def test_equal_rows(self):
         assert gf2_det(GF2Matrix.from_rows([[1, 1], [1, 1]])) == 0
 
-    def test_unitriangular_is_involution(self):
-        m = GF2Matrix.from_rows([[1, 1], [0, 1]])
-        assert gf2_inverse(m) == m
-
-    def test_singular_raises(self):
-        with pytest.raises(ValueError, match="singular"):
-            gf2_inverse(GF2Matrix.from_rows([[1, 1], [1, 1]]))
-
     @pytest.mark.parametrize("n,group_order", [(3, 168), (4, 20160)])
     def test_exhaustive_det_iff_invertible(self, n, group_order):
-        invertible = 0
-        ident = GF2Matrix.identity(n)
-        for rows in product(range(1 << n), repeat=n):
-            m = GF2Matrix(n, rows)
-            if gf2_det(m) == 1:
-                invertible += 1
-                assert m.mul(gf2_inverse(m)) == ident
-            else:
-                with pytest.raises(ValueError):
-                    gf2_inverse(m)
+        invertible = sum(
+            1
+            for rows in product(range(1 << n), repeat=n)
+            if gf2_det(GF2Matrix(n, rows)) == 1
+        )
         assert invertible == group_order
-
-    def test_random_5x5_multiply_back(self):
-        rng = random.Random(20240517)
-        ident = GF2Matrix.identity(5)
-        found = 0
-        while found < 10:
-            m = GF2Matrix(5, tuple(rng.randrange(1 << 5) for _ in range(5)))
-            if gf2_det(m) == 1:
-                found += 1
-                inv = gf2_inverse(m)
-                assert m.mul(inv) == ident
-                assert inv.mul(m) == ident
 
 
 class TestPrincipalMinors:
