@@ -59,7 +59,11 @@ def _parse_perm(text: str) -> Permutation:
 
 
 def _load_graph(path: str) -> VWDigraph:
-    raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            raw = handle.read()
     doc = json.loads(raw)  # malformed JSON surfaces position info via JSONDecodeError
     return graph_from_json(doc)
 
@@ -133,6 +137,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _apply_descriptor(g: VWDigraph, desc: dict) -> VWDigraph:
+    if not isinstance(desc, dict):
+        raise UsageError(f"descriptor {desc!r} is not a JSON object")
     op = desc.get("op")
     if op == "lc":
         return local_complement(g, int(desc["vertex"]))
@@ -176,6 +182,8 @@ def _cmd_apply(args) -> int:
             g = _apply_descriptor(g, desc)
         except KeyError as exc:
             raise UsageError(f"descriptor missing field {exc}") from exc
+        except TypeError as exc:
+            raise UsageError(f"descriptor field of the wrong type: {exc}") from exc
     print(dumps_graph(g))
     return 0
 
@@ -444,6 +452,9 @@ def _table_rows(family: str, max_n: int) -> tuple[list[str], list[list]]:
 
 
 def _cmd_table(args) -> int:
+    least = 1 if args.family == "three-simplices" else 0
+    if args.max < least:
+        raise UsageError(f"--max for {args.family} must be at least {least}, got {args.max}")
     header, rows = _table_rows(args.family, args.max)
     if args.format == "csv":
         print(",".join(header))

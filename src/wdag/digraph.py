@@ -197,17 +197,10 @@ class VWDigraph:
             if bits
         )
 
-    def _bits(self, i: int, j: int) -> int:
-        m = self.omega.m
-        return self.key[(i - 1) * m + j - 1] if 1 <= i <= m and 1 <= j <= m else 0
-
     def weight(self, i: int, j: int) -> GF2Vector | None:
-        bits = self._bits(i, j)
-        return GF2Vector(self.omega.dims[i - 1], bits) if bits else None
-
-    def out_neighbors(self, v: int) -> list[int]:
         m = self.omega.m
-        return [j for j in range(1, m + 1) if self._bits(v, j)]
+        bits = self.key[(i - 1) * m + j - 1] if 1 <= i <= m and 1 <= j <= m else 0
+        return GF2Vector(self.omega.dims[i - 1], bits) if bits else None
 
     @property
     def serial(self) -> str:
@@ -234,21 +227,18 @@ class VWDigraph:
 
 
 def is_acyclic(g: VWDigraph) -> bool:
-    """Topological-sort check for directed cycles."""
+    """Peel sinks off the out-set bitmasks of the key; a cycle leaves a
+    nonempty remainder in which no vertex is a sink."""
     m = g.omega.m
-    indeg = {v: 0 for v in range(1, m + 1)}
-    for _, j, _ in g.edges:
-        indeg[j] += 1
-    stack = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for j in g.out_neighbors(v):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    return seen == m
+    key = g.key
+    outs = [sum(1 << j for j in range(m) if key[i * m + j]) for i in range(m)]
+    left = (1 << m) - 1
+    while left:
+        sinks = sum(1 << i for i in range(m) if left >> i & 1 and not outs[i] & left)
+        if not sinks:
+            return False
+        left ^= sinks
+    return True
 
 
 def reduced_matrix(g: VWDigraph) -> VectorMatrix:

@@ -10,8 +10,10 @@ full characteristic matrix followed by GF(2) row reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Callable, Iterator
 
 from .digraph import (
     BudgetError,
@@ -19,7 +21,6 @@ from .digraph import (
     VWDigraph,
     enumerate_acyclic,
     is_acyclic,
-    reduced_matrix,
 )
 from .gf2 import GF2Vector, permute_bits
 from .permutation import Permutation
@@ -163,48 +164,43 @@ def facet_permutation_action(
     sigma_full fixing dim(v)+1 must act as an out-weight permutation,
     anything else as a (sigma, k)-local complementation.
     """
-    _check_vertex(g, v)
-    omega = g.omega
-    m = omega.m
-    dim_v = omega.dim(v)
+    dim_v = _check_vertex(g, v)
     if sigma_full.degree != dim_v + 1:
         raise ValueError(
             f"facet permutation degree {sigma_full.degree}, expected {dim_v + 1}"
         )
-    offsets = [0] * (m + 1)
-    for t in range(1, m + 1):
-        offsets[t] = offsets[t - 1] + omega.dim(t)
-    n = offsets[m]
+    if not is_acyclic(g):
+        raise ValueError("the facet action is defined for acyclic graphs only")
+    omega = g.omega
+    dims = omega.dims
+    m = len(dims)
+    n = sum(dims)
+    starts = [sum(dims[:s]) for s in range(m)]
 
-    reduced = reduced_matrix(g)
+    # Row starts[s] + c is coordinate c+1 of vertex s+1: its unit bit, and
+    # bit n + t when that coordinate of entry (s+1, t+1) of R is 1.
+    rows = []
+    for s, d in enumerate(dims):
+        entries = list(g.key[s * m : (s + 1) * m])
+        entries[s] = (1 << d) - 1
+        for c in range(d):
+            row = 1 << (starts[s] + c)
+            for t, bits in enumerate(entries):
+                if bits >> c & 1:
+                    row |= 1 << (n + t)
+            rows.append(row)
 
-    # Columns 0..n-1: facet (t, c) for c = 1..dim(t); column n+t-1: facet
-    # (t, dim(t)+1).  Store the matrix column-wise as n-bit ints.
-    cols = [0] * (n + m)
-    for r in range(n):
-        cols[r] = 1 << r
-    for t in range(1, m + 1):
-        bits = 0
-        for s in range(1, m + 1):
-            entry = reduced.entry(s, t)
-            for c in range(1, entry.dim + 1):
-                if entry.bit(c):
-                    bits |= 1 << (offsets[s - 1] + c - 1)
-        cols[n + t - 1] = bits
+    # Facet k of v's factor is column starts[v-1] + k - 1, the last one
+    # column n + v - 1; the new facet-k column is the old facet-sigma(k) one.
+    cols = [starts[v - 1] + k for k in range(dim_v)] + [n + v - 1]
+    moved = sum(1 << col for col in cols)
+    sources = [cols[sigma_full(k) - 1] for k in range(1, dim_v + 2)]
+    rows = [
+        row & ~moved | sum((row >> src & 1) << dst for dst, src in zip(cols, sources))
+        for row in rows
+    ]
 
-    def facet_col(k: int) -> int:
-        return offsets[v - 1] + k - 1 if k <= dim_v else n + v - 1
-
-    old = [cols[facet_col(k)] for k in range(1, dim_v + 2)]
-    for k in range(1, dim_v + 2):
-        cols[facet_col(k)] = old[sigma_full(k) - 1]
-
-    # Transpose to rows and Gauss-Jordan the first n columns to identity.
-    rows = [0] * n
-    for c, colbits in enumerate(cols):
-        for r in range(n):
-            if (colbits >> r) & 1:
-                rows[r] |= 1 << c
+    # Gauss-Jordan the first n columns to the identity.
     for col in range(n):
         mask = 1 << col
         pivot = next((r for r in range(col, n) if rows[r] & mask), None)
@@ -216,18 +212,14 @@ def facet_permutation_action(
                 rows[r] ^= rows[col]
 
     weights = {}
-    for s in range(1, m + 1):
-        d = omega.dim(s)
-        for t in range(1, m + 1):
-            bits = 0
-            for c in range(d):
-                if (rows[offsets[s - 1] + c] >> (n + t - 1)) & 1:
-                    bits |= 1 << c
+    for s, d in enumerate(dims):
+        for t in range(m):
+            bits = sum((rows[starts[s] + c] >> (n + t) & 1) << c for c in range(d))
             if s == t:
                 if bits != (1 << d) - 1:
                     raise ValueError("image matrix lost its unit diagonal")
             elif bits:
-                weights[(s, t)] = GF2Vector(d, bits)
+                weights[(s + 1, t + 1)] = GF2Vector(d, bits)
     return VWDigraph(omega, weights)
 
 
@@ -236,56 +228,30 @@ def facet_permutation_action(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReorderVertices:
-    mu: Permutation
-
-    def apply(self, g: VWDigraph) -> VWDigraph:
-        return reorder_vertices(g, self.mu)
-
-
-@dataclass(frozen=True)
-class PermuteWeights:
-    vertex: int
-    sigma: Permutation
-
-    def apply(self, g: VWDigraph) -> VWDigraph:
-        return permute_out_weights(g, self.vertex, self.sigma)
-
-
-@dataclass(frozen=True)
-class SigmaKLC:
-    vertex: int
-    sigma: Permutation
-    k: int
-
-    def apply(self, g: VWDigraph) -> VWDigraph:
-        return sigma_k_local_complement(g, self.vertex, self.sigma, self.k)
-
-
-Generator = Union[ReorderVertices, PermuteWeights, SigmaKLC]
-
-
-def standard_generators(omega: DimensionFunction) -> list[Generator]:
+def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
     """Involutive generating set: dimension-preserving vertex swaps,
     adjacent out-weight transpositions, and identity-(k) local
-    complementations.  These generate the whole equivalence because each
-    full single-vertex move factors into them."""
-    gens: list[Generator] = []
+    complementations, each a public move bound to its arguments.  These
+    generate the whole equivalence because each full single-vertex move
+    factors into them."""
     m = omega.m
-    for p in range(1, m + 1):
-        for q in range(p + 1, m + 1):
-            if omega.dim(p) == omega.dim(q):
-                gens.append(ReorderVertices(Permutation.transposition(m, p, q)))
-    for v in range(1, m + 1):
-        d = omega.dim(v)
-        for t in range(1, d):
-            gens.append(PermuteWeights(v, Permutation.transposition(d, t, t + 1)))
-    for v in range(1, m + 1):
-        d = omega.dim(v)
-        for k in range(1, d + 1):
-            gens.append(SigmaKLC(v, Permutation.identity(d), k))
-    return gens
+    return [
+        *(
+            partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
+            for p, q in combinations(range(1, m + 1), 2)
+            if omega.dim(p) == omega.dim(q)
+        ),
+        *(
+            partial(permute_out_weights, v=v, sigma=Permutation.transposition(d, t, t + 1))
+            for v, d in enumerate(omega.dims, start=1)
+            for t in range(1, d)
+        ),
+        *(
+            partial(sigma_k_local_complement, v=v, sigma=Permutation.identity(d), k=k)
+            for v, d in enumerate(omega.dims, start=1)
+            for k in range(1, d + 1)
+        ),
+    ]
 
 
 @dataclass(frozen=True)
@@ -310,7 +276,7 @@ def orbit(
         nxt = []
         for cur in frontier:
             for gen in gens:
-                img = gen.apply(cur)
+                img = gen(cur)
                 if img.key not in seen:
                     seen[img.key] = img
                     nxt.append(img)

@@ -196,6 +196,21 @@ class TestApply:
     def test_missing_op(self, capsys, fig_path):
         assert main(["apply", "--input", fig_path]) == 2
 
+    @pytest.mark.parametrize(
+        "op_json",
+        [
+            "5",
+            '["x"]',
+            '{"op": "sigma-lc", "vertex": 1, "sigma": 5}',
+            '{"op": "lc", "vertex": null}',
+        ],
+    )
+    def test_malformed_descriptor_usage_error(self, capsys, fig_path, op_json):
+        assert main(["apply", "--op-json", op_json, "--input", fig_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
     def test_malformed_json_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"omega": [1, 1]\n')
@@ -316,6 +331,22 @@ class TestTable:
         )
         rows = json.loads(capsys.readouterr().out)
         assert {"kind": "c", "n": 2, "m": 1, "value": 1} in rows
+
+    @pytest.mark.parametrize(
+        "family, below",
+        [
+            ("three-simplices", 0),
+            ("three-simplices", -2),
+            ("stirling", -1),
+            ("c2", -1),
+            ("cnme", -2),
+        ],
+    )
+    def test_max_below_minimum_is_usage_error(self, capsys, family, below):
+        assert main(["table", "--family", family, "--max", str(below)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --max" in captured.err
 
     def test_deterministic_output(self, capsys):
         main(["table", "--family", "three-simplices", "--max", "3"])

@@ -81,6 +81,17 @@ class TestGraphBasics:
         )
         assert not is_acyclic(two_cycle)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_acyclicity_agrees_with_dag_census(self, m):
+        omega = DimensionFunction((1,) * m)
+        one = GF2Vector.all_ones(1)
+        pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+        dags = set(dag_census(m))
+        for chosen in product((False, True), repeat=len(pairs)):
+            support = tuple(pair for pair, keep in zip(pairs, chosen) if keep)
+            g = VWDigraph(omega, {pair: one for pair in support})
+            assert is_acyclic(g) == (support in dags)
+
     def test_invariants_enforced(self):
         omega = DimensionFunction.of(2, 1)
         with pytest.raises(ValueError, match="self-loop"):
@@ -98,7 +109,6 @@ class TestGraphBasics:
         assert g.key == (0, ten.bits, wide.bits, 0)
         assert g.edges == ((1, 2, ten), (2, 1, wide))
         assert g.serial == "00" + "10" + wide.to_string() + "0" * 40
-        assert g.out_neighbors(2) == [1]
         assert g.weight(1, 2) == ten
         assert g.weight(2, 2) is None and g.weight(3, 1) is None
         assert g.weight(0, 1) is None

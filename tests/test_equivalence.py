@@ -159,7 +159,7 @@ class TestMatrixActionOracle:
                         sigma_k_local_complement(g, v, Permutation.identity(d), k)
                     )
 
-    @pytest.mark.parametrize("dims", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 3), (1, 1, 1, 1)])
     def test_full_contract(self, dims):
         omega = DimensionFunction(dims)
         for g in enumerate_acyclic(omega):
@@ -176,6 +176,12 @@ class TestMatrixActionOracle:
     def test_degree_validation(self, fig_graph):
         with pytest.raises(ValueError):
             facet_permutation_action(fig_graph, 4, Permutation.identity(3))
+
+    def test_rejects_cyclic_input(self):
+        two_cycle = graph((1, 2), [(1, 2, "1"), (2, 1, "10")])
+        for v, d in ((1, 1), (2, 2)):
+            with pytest.raises(ValueError, match="acyclic"):
+                facet_permutation_action(two_cycle, v, Permutation.identity(d + 1))
 
     def test_single_vertex_always_fixed(self):
         g = VWDigraph(DimensionFunction.of(2))
@@ -281,7 +287,7 @@ class TestOrbits:
     def test_membership_symmetric(self):
         g = graph((1, 2), [(2, 1, "10")])
         for gen in standard_generators(g.omega):
-            image = gen.apply(g)
+            image = gen(g)
             back = orbit(image, include_members=True)
             assert g in back.members
 
@@ -298,7 +304,7 @@ class TestOrbits:
         omega = DimensionFunction(dims)
         for g in enumerate_acyclic(omega):
             for gen in standard_generators(omega):
-                img = gen.apply(g)
+                img = gen(g)
                 rebuilt = VWDigraph(omega, img.edges)
                 assert img == rebuilt
                 assert hash(img) == hash(rebuilt)
@@ -309,7 +315,7 @@ class TestOrbits:
         omega = DimensionFunction.of(2, 2)
         for g in enumerate_acyclic(omega):
             for gen in standard_generators(omega):
-                assert is_acyclic(gen.apply(g))
+                assert is_acyclic(gen(g))
 
 
 class TestClassCounts:
