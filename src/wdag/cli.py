@@ -42,20 +42,15 @@ from .equivalence import (
 from .permutation import Permutation, all_permutations, reduce_top
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"invalid {what} {text!r}") from exc
+
+
 def _parse_omega(text: str) -> DimensionFunction:
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"invalid dimension list {text!r}") from exc
-    return DimensionFunction(dims)
-
-
-def _parse_perm(text: str) -> Permutation:
-    try:
-        images = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"invalid permutation {text!r}") from exc
-    return Permutation(images)
+    return DimensionFunction(tuple(_parse_ints(text, "dimension list")))
 
 
 def _load_graph(path: str) -> VWDigraph:
@@ -136,26 +131,42 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _int_field(desc: dict, name: str) -> int:
+    value = desc[name]
+    if type(value) is not int:  # JSON true and 1.5 are not vertices or k
+        raise UsageError(
+            f"descriptor field {name!r} must be an integer, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _perm_field(desc: dict, name: str) -> Permutation:
+    images = desc[name]
+    if not isinstance(images, list) or any(type(x) is not int for x in images):
+        got = json.dumps(images)
+        raise UsageError(f"descriptor field {name!r} must be a list of integers, got {got}")
+    return Permutation(tuple(images))
+
+
 def _apply_descriptor(g: VWDigraph, desc: dict) -> VWDigraph:
     if not isinstance(desc, dict):
         raise UsageError(f"descriptor {desc!r} is not a JSON object")
     op = desc.get("op")
     if op == "lc":
-        return local_complement(g, int(desc["vertex"]))
+        return local_complement(g, _int_field(desc, "vertex"))
     if op == "sigma-lc":
         return sigma_local_complement(
-            g, int(desc["vertex"]), Permutation(tuple(desc["sigma"]))
+            g, _int_field(desc, "vertex"), _perm_field(desc, "sigma")
         )
     if op == "sigma-k-lc":
-        return sigma_k_local_complement(
-            g, int(desc["vertex"]), Permutation(tuple(desc["sigma"])), int(desc["k"])
-        )
+        vertex, sigma = _int_field(desc, "vertex"), _perm_field(desc, "sigma")
+        return sigma_k_local_complement(g, vertex, sigma, _int_field(desc, "k"))
     if op == "permute-weights":
         return permute_out_weights(
-            g, int(desc["vertex"]), Permutation(tuple(desc["sigma"]))
+            g, _int_field(desc, "vertex"), _perm_field(desc, "sigma")
         )
     if op == "reorder":
-        return reorder_vertices(g, Permutation(tuple(desc["mu"])))
+        return reorder_vertices(g, _perm_field(desc, "mu"))
     raise UsageError(f"unknown operation {op!r}")
 
 
@@ -169,11 +180,11 @@ def _cmd_apply(args) -> int:
         if args.vertex is not None:
             desc["vertex"] = args.vertex
         if args.sigma is not None:
-            desc["sigma"] = list(_parse_perm(args.sigma).images)
+            desc["sigma"] = _parse_ints(args.sigma, "permutation")
         if args.k is not None:
             desc["k"] = args.k
         if args.mu is not None:
-            desc["mu"] = list(_parse_perm(args.mu).images)
+            desc["mu"] = _parse_ints(args.mu, "vertex reordering")
         descriptors = [desc]
     else:
         raise UsageError("apply needs --op or --op-json")
@@ -182,8 +193,6 @@ def _cmd_apply(args) -> int:
             g = _apply_descriptor(g, desc)
         except KeyError as exc:
             raise UsageError(f"descriptor missing field {exc}") from exc
-        except TypeError as exc:
-            raise UsageError(f"descriptor field of the wrong type: {exc}") from exc
     print(dumps_graph(g))
     return 0
 

@@ -21,35 +21,20 @@ from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, specialize
 
-# Listing the underlying unweighted DAGs, and counting weighted ones, is
-# capped here; the counts grow like 3, 25, 543, 29281, 3781503 and six
-# vertices is already the limit of what an exhaustive desk run should
-# attempt.
-DAG_VERTEX_CAP = 6
-
-# Refusal threshold for weighted enumeration, compared against the exact
-# number of graphs, count_acyclic(omega).
-DEFAULT_ENUMERATION_BUDGET = 10**8
+# The most items an exhaustive path here may visit, read at call time:
+# graphs to enumerate or list, or (V, S) pairs for count_acyclic.
+ITEM_BUDGET = 10**8
 
 
 class BudgetError(RuntimeError):
-    """A requested exhaustive computation exceeds its configured budget."""
+    """An exhaustive computation would visit ``size`` items, more than its
+    ``budget``; an orbit search reports the members it found so far."""
 
-
-class EnumerationBudgetError(BudgetError):
-    def __init__(self, size: int, budget: int):
+    def __init__(self, computation: str, items: str, size: int, budget: int):
         self.size = size
         self.budget = budget
         super().__init__(
-            f"enumeration refused: {size} acyclic graphs exceed budget {budget}"
-        )
-
-
-class VertexCapError(BudgetError):
-    def __init__(self, m: int):
-        self.m = m
-        super().__init__(
-            f"exhaustive DAG listing capped at {DAG_VERTEX_CAP} vertices, got {m}"
+            f"{computation} refused: {items.format(size)} exceed budget {budget}"
         )
 
 
@@ -290,11 +275,9 @@ def dag_census(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     layers with at least one from the immediately preceding layer.  That
     decomposition is unique, so nothing is repeated.
     """
-    if m > DAG_VERTEX_CAP:
-        raise VertexCapError(m)
-    if m == 0:
-        yield ()
-        return
+    size = count_acyclic(DimensionFunction((1,) * m)) if m else 1
+    if size > ITEM_BUDGET:
+        raise BudgetError("DAG census", "{} DAGs", size, ITEM_BUDGET)
 
     def extend(
         remaining: tuple[int, ...],
@@ -399,9 +382,7 @@ def _row_tables(omega: DimensionFunction) -> list[list[tuple[int, tuple]]]:
     return tables
 
 
-def enumerate_acyclic(
-    omega: DimensionFunction, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[VWDigraph]:
+def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
     """Every acyclic weighted digraph exactly once, in increasing ``serial``.
 
     ``serial`` joins fixed-width strings, one per key position, in
@@ -412,8 +393,8 @@ def enumerate_acyclic(
     streamed, never stored; a refusal is raised at the first ``next()``.
     """
     size = count_acyclic(omega)
-    if size > budget:
-        raise EnumerationBudgetError(size, budget)
+    if size > ITEM_BUDGET:
+        raise BudgetError("enumeration", "{} acyclic graphs", size, ITEM_BUDGET)
     tables = _row_tables(omega)
     last = omega.m - 1
     allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
@@ -448,11 +429,14 @@ def count_acyclic(omega: DimensionFunction) -> int:
                (-1)^{|S|+1} 2^{|V-S| sum_{s in S} d_s} A(V-S),
 
     since each source may send any vector, zero included, to each vertex
-    outside S.  O(3^m) over the vertex subsets.
+    outside S.  That visits 3^m - 2^m pairs (V, S).
     """
     m = omega.m
-    if m > DAG_VERTEX_CAP:
-        raise VertexCapError(m)
+    pairs = 3**m - 2**m
+    if pairs > ITEM_BUDGET:
+        raise BudgetError(
+            "count_acyclic", "{} (vertex set, source set) pairs", pairs, ITEM_BUDGET
+        )
     full = (1 << m) - 1
     size = [0] * (full + 1)
     dim_sum = [0] * (full + 1)
@@ -537,11 +521,19 @@ def graph_to_json(g: VWDigraph) -> dict:
     }
 
 
+def _json_ints(values) -> tuple[int, ...]:
+    """values as a tuple of JSON integers; true and 1.5 are not integers."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"expected integers, got {list(values)}")
+    return values
+
+
 def graph_from_json(doc: dict) -> VWDigraph:
     try:
-        omega = DimensionFunction(tuple(int(d) for d in doc["omega"]))
+        omega = DimensionFunction(_json_ints(doc["omega"]))
         weights = [
-            (int(e["from"]), int(e["to"]), GF2Vector.from_string(e["weight"]))
+            (*_json_ints((e["from"], e["to"])), GF2Vector.from_string(e["weight"]))
             for e in doc.get("edges", [])
         ]
     except (KeyError, TypeError) as exc:

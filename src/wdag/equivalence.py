@@ -25,16 +25,8 @@ from .digraph import (
 from .gf2 import GF2Vector, permute_bits
 from .permutation import Permutation
 
-DEFAULT_ORBIT_BUDGET = 10**7
-
-
-class OrbitBudgetError(BudgetError):
-    def __init__(self, partial_size: int, budget: int):
-        self.partial_size = partial_size
-        self.budget = budget
-        super().__init__(
-            f"orbit exceeded budget {budget}; at least {partial_size} members found"
-        )
+# orbit refuses once it has found more members than this; read at call time.
+ORBIT_BUDGET = 10**7
 
 
 def _check_vertex(g: VWDigraph, v: int) -> int:
@@ -261,14 +253,11 @@ class OrbitReport:
     members: tuple[VWDigraph, ...] | None = None
 
 
-def orbit(
-    g: VWDigraph,
-    include_members: bool = False,
-    budget: int = DEFAULT_ORBIT_BUDGET,
-) -> OrbitReport:
+def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     """Breadth-first closure of g under the standard generators."""
     if not is_acyclic(g):
         raise ValueError("orbits are computed for acyclic graphs only")
+    budget = ORBIT_BUDGET
     gens = standard_generators(g.omega)
     seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
     frontier = [g]
@@ -281,7 +270,9 @@ def orbit(
                     seen[img.key] = img
                     nxt.append(img)
                     if len(seen) > budget:
-                        raise OrbitBudgetError(len(seen), budget)
+                        raise BudgetError(
+                            "orbit", "at least {} members", len(seen), budget
+                        )
         frontier = nxt
     by_serial = attrgetter("serial")
     canonical = min(seen.values(), key=by_serial)

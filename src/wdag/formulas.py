@@ -9,26 +9,26 @@ formulas are verified without reusing any fixed-point case analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
 from .digraph import BudgetError, DimensionFunction, VWDigraph
 from .equivalence import orbits
 from .gf2 import permute_bits
-from .permutation import Permutation, reduce_top
+from .permutation import Permutation, all_permutations, reduce_top
 
-ORACLE_DIM_CAP_PAIR = 8
-ORACLE_DIM_CAP_TRIPLE = 5
-
-
-class OracleBudgetError(BudgetError):
-    pass
+# orbit_count refuses a space of more points than this; read at call time.
+ORACLE_POINT_BUDGET = 2**16
 
 
 def _exact_div(num: int, den: int) -> int:
     if num % den != 0:
         raise ArithmeticError(f"inexact division {num}/{den}; formula misuse")
     return num // den
+
+
+def _check_positive(*dims: int) -> None:
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dimensions must be positive: {dims}")
 
 
 def _half(n: int) -> int:
@@ -44,8 +44,7 @@ def _half(n: int) -> int:
 def count_classes_two_vertices(n1: int, n2: int) -> int:
     """Equivalence classes of weighted digraphs on two vertices of
     dimensions n1, n2."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("dimensions must be positive")
+    _check_positive(n1, n2)
     if n1 == n2:
         return 1 + _half(n1)
     return 1 + _half(n1) + _half(n2)
@@ -54,8 +53,7 @@ def count_classes_two_vertices(n1: int, n2: int) -> int:
 def count_outstar_classes(n: int) -> int:
     """Classes of the two-edge out-star whose weights have dimension n,
     under the action at the shared source vertex."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _check_positive(n)
     k = n // 2
     if n % 2 == 0:
         return _exact_div(2 * k**3 + 9 * k**2 + k, 6)
@@ -65,8 +63,7 @@ def count_outstar_classes(n: int) -> int:
 def outstar_term(n: int) -> int:
     """The per-vertex cubic from the three-vertex total; equals
     count_outstar_classes(n) identically."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _check_positive(n)
     if n % 2 == 0:
         return _exact_div(n**3 + 9 * n**2 + 2 * n, 24)
     return _exact_div((n + 1) * (n**2 + 8 * n + 3), 24)
@@ -76,8 +73,7 @@ def count_path_classes(n: int, m: int) -> int:
     """Classes of the merged family: a directed path source->mid->sink
     together with its chorded variants, where the mid vertex has
     dimension n and the source has dimension m."""
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
+    _check_positive(n, m)
     if n % 2 == 0 and m % 2 == 0:
         return _exact_div(n * m * (m**2 + 9 * m + 14), 48)
     if n % 2 == 0:
@@ -98,8 +94,7 @@ def count_unordered_outstar_classes(n: int) -> int:
     number of swap-twisted fixed points: the mean over the source group
     of the dim-n vectors fixed by the square of the group element.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _check_positive(n)
     k = (n + 1) // 2
     if n % 2 == 0:
         twisted = _exact_div(k * (k + 3), 2)
@@ -110,8 +105,7 @@ def count_unordered_outstar_classes(n: int) -> int:
 
 def count_instar_classes(n2: int, n3: int) -> int:
     """Classes of the two-edge in-star with source dimensions n2 and n3."""
-    if n2 < 1 or n3 < 1:
-        raise ValueError("dimensions must be positive")
+    _check_positive(n2, n3)
     return _half(n2) * _half(n3)
 
 
@@ -119,8 +113,7 @@ def count_unordered_instar_classes(n: int) -> int:
     """Classes of the two-edge in-star whose two sources have dimension n
     and can be swapped: unordered pairs of weight classes, h(n)(h(n)+1)/2
     with h(n) = floor((n+1)/2)."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _check_positive(n)
     h = _half(n)
     return _exact_div(h * (h + 1), 2)
 
@@ -163,6 +156,8 @@ def orbit_count(size: int, images_per_generator: Iterable[Iterable[int]]) -> int
     """Orbits of a group action on the points 0..size-1, from generator
     closure with union-find.  Each generator is given as its image stream:
     the images of points 0, 1, ..., size-1 in turn."""
+    if size > ORACLE_POINT_BUDGET:
+        raise BudgetError("Burnside oracle", "{} points", size, ORACLE_POINT_BUDGET)
     uf = UnionFind(range(size))
     for images in images_per_generator:
         for x, y in enumerate(images):
@@ -194,22 +189,8 @@ def _vector_table(sigma: Permutation, n: int) -> tuple[list[int], int]:
 
 def _group_elements(n_plus_1: int, full_group: bool) -> list[Permutation]:
     if full_group:
-        return [
-            Permutation(images)
-            for images in _itertools_permutations(range(1, n_plus_1 + 1))
-        ]
-    return [
-        Permutation.transposition(n_plus_1, t, t + 1) for t in range(1, n_plus_1)
-    ]
-
-
-def _check_pair_dim(n: int) -> None:
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if n > ORACLE_DIM_CAP_PAIR:
-        raise OracleBudgetError(
-            f"pair oracle capped at dimension {ORACLE_DIM_CAP_PAIR}"
-        )
+        return list(all_permutations(n_plus_1))
+    return [Permutation.transposition(n_plus_1, t, t + 1) for t in range(1, n_plus_1)]
 
 
 def _pair_images(table_v: list[int], table_w: list[int]) -> Iterator[int]:
@@ -241,7 +222,7 @@ def outstar_orbit_oracle(n: int, full_group: bool = False) -> int:
     the stable set both are just coordinate-permuted, outside it the
     all-ones-except correction is added componentwise.
     """
-    _check_pair_dim(n)
+    _check_positive(n)
     streams = _outstar_streams(n, full_group)
     return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
 
@@ -258,7 +239,7 @@ def unordered_outstar_orbit_oracle(n: int) -> int:
 
     The source group acts on each weight as in outstar_orbit_oracle.
     """
-    _check_pair_dim(n)
+    _check_positive(n)
     streams = _unordered_outstar_streams(n)
     return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
 
@@ -282,7 +263,7 @@ def unordered_instar_orbit_oracle(n: int) -> int:
     Each source's group acts on its own weight alone, and the swap
     (v, w) -> (w, v) of the two sources is added as a generator.
     """
-    _check_pair_dim(n)
+    _check_positive(n)
     streams = _unordered_instar_streams(n)
     return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
 
@@ -332,12 +313,7 @@ def path_orbit_oracle(n: int, m: int, full_group: bool = False) -> int:
     replaces w' by w + w'; the source-vertex group acts on w and w'
     separately with the all-ones-except correction on unstable entries.
     """
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
-    if n > ORACLE_DIM_CAP_TRIPLE or m > ORACLE_DIM_CAP_TRIPLE:
-        raise OracleBudgetError(
-            f"triple oracle capped at dimension {ORACLE_DIM_CAP_TRIPLE}"
-        )
+    _check_positive(n, m)
     size = ((1 << n) - 1) * ((1 << m) - 1) << m
     streams = _path_streams(n, m, full_group)
     return orbit_count(size, (images for _, images in streams))

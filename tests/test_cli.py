@@ -82,9 +82,9 @@ class TestCount:
         assert out == "48\n"
         assert "source: formula" in err
 
-    def test_dj_vertex_cap_exits_one(self, capsys):
-        assert main(["count", "dj", "--omega", "1,1,1,1,1,1,1"]) == 1
-        assert "capped" in capsys.readouterr().err
+    def test_dj_seven_unit_vertices(self, capsys):
+        assert main(["count", "dj", "--omega", "1,1,1,1,1,1,1"]) == 0
+        assert capsys.readouterr().out == "1138779265\n"
 
 
 class TestEnumerate:
@@ -109,7 +109,9 @@ class TestEnumerate:
     def test_budget_exceeded_exits_one(self, capsys):
         assert main(["enumerate", "--omega", "6,6,6,6"]) == 1
         err = capsys.readouterr().err
-        assert "budget" in err
+        assert err == (
+            "enumeration refused: 1610715496447 acyclic graphs exceed budget 100000000\n"
+        )
 
     def test_negative_limit_is_usage_error(self, capsys):
         assert main(["enumerate", "--omega", "1,1", "--limit", "-1"]) == 2
@@ -203,6 +205,13 @@ class TestApply:
             '["x"]',
             '{"op": "sigma-lc", "vertex": 1, "sigma": 5}',
             '{"op": "lc", "vertex": null}',
+            # Refused, not truncated: 1.9 would otherwise act at vertex 1.
+            '{"op": "lc", "vertex": 1.9}',
+            '{"op": "lc", "vertex": true}',
+            '{"op": "sigma-k-lc", "vertex": 1, "sigma": [2, 1, 3], "k": 1.5}',
+            '{"op": "sigma-lc", "vertex": 1, "sigma": "21"}',
+            '{"op": "permute-weights", "vertex": 1, "sigma": [2.0, 1, 3]}',
+            '{"op": "reorder", "mu": [1, 2, 3, true]}',
         ],
     )
     def test_malformed_descriptor_usage_error(self, capsys, fig_path, op_json):

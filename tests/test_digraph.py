@@ -3,13 +3,12 @@ from itertools import product
 
 import pytest
 
+from wdag import digraph
 from wdag.digraph import (
-    DAG_VERTEX_CAP,
+    BudgetError,
     DimensionFunction,
-    EnumerationBudgetError,
     VWDigraph,
     VectorMatrix,
-    VertexCapError,
     count_acyclic,
     count_dags,
     cycle_sum,
@@ -57,9 +56,13 @@ class TestCensus:
     def test_census_count_match_m5(self):
         assert sum(1 for _ in dag_census(5)) == 29281
 
-    def test_vertex_cap(self):
-        with pytest.raises(VertexCapError):
-            list(dag_census(DAG_VERTEX_CAP + 1))
+    def test_refusal_names_the_dag_count(self):
+        with pytest.raises(BudgetError) as err:
+            next(dag_census(7))
+        assert (err.value.size, err.value.budget) == (1_138_779_265, 10**8)
+        assert str(err.value) == (
+            "DAG census refused: 1138779265 DAGs exceed budget 100000000"
+        )
 
     def test_all_members_acyclic_and_minors_one(self):
         # Reduced scalar matrices of all 25 three-vertex DAGs.
@@ -167,14 +170,16 @@ class TestMembership:
                 a.entry(i, i) == GF2Vector.all_ones(omega.dim(i))
                 for i in range(1, omega.m + 1)
             )
+            if not diag_ok:
+                assert not has_unit_principal_minors(a)
+                continue
             support = {
                 (i, j): one
                 for i in range(1, omega.m + 1)
                 for j in range(1, omega.m + 1)
                 if i != j and not a.entry(i, j).is_zero
             }
-            support_acyclic = is_acyclic(VWDigraph(unit, support))
-            assert has_unit_principal_minors(a) == (diag_ok and support_acyclic)
+            assert has_unit_principal_minors(a) == is_acyclic(VWDigraph(unit, support))
 
     def test_round_trip_exhaustive(self):
         for dims in [(1, 2), (2, 2)]:
@@ -274,16 +279,20 @@ class TestCounting:
 
     def test_budget_refusal(self):
         omega = DimensionFunction.of(6, 6, 6, 6)
-        with pytest.raises(EnumerationBudgetError) as err:
+        with pytest.raises(BudgetError) as err:
             next(enumerate_acyclic(omega))
-        assert err.value.size == 1_610_715_496_447
-        assert "1610715496447" in str(err.value) and "budget" in str(err.value)
+        assert (err.value.size, err.value.budget) == (1_610_715_496_447, 10**8)
+        assert str(err.value) == (
+            "enumeration refused: 1610715496447 acyclic graphs exceed budget 100000000"
+        )
 
-    def test_budget_is_the_exact_size(self):
+    def test_budget_is_the_exact_size(self, monkeypatch):
         omega = DimensionFunction.of(2, 2)
-        assert len(list(enumerate_acyclic(omega, budget=7))) == 7
-        with pytest.raises(EnumerationBudgetError) as err:
-            next(enumerate_acyclic(omega, budget=6))
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 7)
+        assert len(list(enumerate_acyclic(omega))) == 7
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 6)
+        with pytest.raises(BudgetError) as err:
+            next(enumerate_acyclic(omega))
         assert (err.value.size, err.value.budget) == (7, 6)
 
     @pytest.mark.parametrize(
@@ -296,10 +305,12 @@ class TestCounting:
         assert count_acyclic(omega) == census_count(omega)
 
     def test_unit_dimensions_count_the_dags(self):
-        for m in range(1, DAG_VERTEX_CAP + 1):
+        for m in range(1, 11):
             assert count_acyclic(DimensionFunction((1,) * m)) == count_dags(m)
-        with pytest.raises(VertexCapError):
-            count_acyclic(DimensionFunction((1,) * (DAG_VERTEX_CAP + 1)))
+        # 3^16 - 2^16 (vertex set, source set) pairs are within the budget.
+        with pytest.raises(BudgetError) as err:
+            count_acyclic(DimensionFunction((1,) * 17))
+        assert (err.value.size, err.value.budget) == (3**17 - 2**17, 10**8)
 
 
 class TestStreamedEnumeration:
@@ -375,3 +386,14 @@ class TestJson:
             graph_from_json({"edges": []})
         with pytest.raises(ValueError):
             graph_from_json({"omega": [1, 1], "edges": [{"from": 1, "to": 2}]})
+        # JSON numbers that are not integers are refused, not truncated.
+        edge = {"from": 1, "to": 2, "weight": "10"}
+        assert graph_from_json({"omega": [2, 1], "edges": [edge]}).weight(1, 2)
+        for doc in [
+            {"omega": [2, 1.7], "edges": []},
+            {"omega": [2, 1], "edges": [{**edge, "from": 1.2}]},
+            {"omega": [2, 1], "edges": [{**edge, "to": True}]},
+            {"omega": "21", "edges": []},
+        ]:
+            with pytest.raises(ValueError, match="malformed graph document"):
+                graph_from_json(doc)

@@ -5,7 +5,9 @@ from math import factorial, prod
 
 import pytest
 
+from wdag import equivalence
 from wdag.digraph import (
+    BudgetError,
     DimensionFunction,
     VWDigraph,
     count_acyclic,
@@ -14,7 +16,6 @@ from wdag.digraph import (
     is_acyclic,
 )
 from wdag.equivalence import (
-    OrbitBudgetError,
     count_equivalence_classes,
     facet_permutation_action,
     local_complement,
@@ -291,11 +292,13 @@ class TestOrbits:
             back = orbit(image, include_members=True)
             assert g in back.members
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         g = graph((2, 3), [(1, 2, "11")])
-        with pytest.raises(OrbitBudgetError) as err:
-            orbit(g, budget=1)
-        assert err.value.partial_size > 1
+        monkeypatch.setattr(equivalence, "ORBIT_BUDGET", 1)
+        with pytest.raises(BudgetError) as err:
+            orbit(g)
+        assert (err.value.size, err.value.budget) == (2, 1)
+        assert str(err.value) == "orbit refused: at least 2 members exceed budget 1"
 
     @pytest.mark.parametrize("dims", [(2, 2), (1, 1, 2), (1, 2, 2)])
     def test_move_images_equal_validated_graphs(self, dims):

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from wdag.digraph import DimensionFunction, VWDigraph
+from wdag.digraph import BudgetError, DimensionFunction, VWDigraph
 from wdag.equivalence import count_equivalence_classes
 from wdag.formulas import (
     FAMILY_EMPTY,
@@ -10,7 +10,6 @@ from wdag.formulas import (
     FAMILY_OUTSTAR,
     FAMILY_PATH,
     FAMILY_SINGLE,
-    OracleBudgetError,
     TripleCountBreakdown,
     UnionFind,
     _exact_div,
@@ -30,6 +29,7 @@ from wdag.formulas import (
     count_path_classes,
     count_unordered_instar_classes,
     count_unordered_outstar_classes,
+    orbit_count,
     outstar_orbit_oracle,
     outstar_term,
     path_orbit_oracle,
@@ -82,8 +82,10 @@ class TestOutstar:
         assert outstar_orbit_oracle(n, full_group=True) == outstar_orbit_oracle(n)
 
     def test_oracle_budget(self):
-        with pytest.raises(OracleBudgetError):
+        # 511^2 points; n = 8 has 255^2 = 65,025.
+        with pytest.raises(BudgetError) as err:
             outstar_orbit_oracle(9)
+        assert (err.value.size, err.value.budget) == (511**2, 2**16)
 
 
 class TestUnorderedOutstar:
@@ -100,8 +102,10 @@ class TestUnorderedOutstar:
             count_unordered_outstar_classes(n)
 
     def test_oracle_budget(self):
-        with pytest.raises(OracleBudgetError):
+        # 511^2 points; n = 8 has 255^2 = 65,025.
+        with pytest.raises(BudgetError) as err:
             unordered_outstar_orbit_oracle(9)
+        assert (err.value.size, err.value.budget) == (511**2, 2**16)
 
 
 class TestUnorderedInstar:
@@ -114,8 +118,9 @@ class TestUnorderedInstar:
         assert unordered_instar_orbit_oracle(n) == count_unordered_instar_classes(n)
 
     def test_oracle_budget(self):
-        with pytest.raises(OracleBudgetError):
+        with pytest.raises(BudgetError) as err:
             unordered_instar_orbit_oracle(9)
+        assert (err.value.size, err.value.budget) == (511**2, 2**16)
         with pytest.raises(ValueError):
             unordered_instar_orbit_oracle(0)
 
@@ -131,7 +136,12 @@ class TestPathFamily:
             for m in range(1, 9):
                 count_path_classes(n, m)
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "n,m",
+        [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+        # at most 2^16 points, beyond the dimension-5 square
+        + [(6, 1), (6, 2), (1, 6), (2, 7), (8, 4), (11, 2)],
+    )
     def test_oracle_matches(self, n, m):
         assert path_orbit_oracle(n, m) == count_path_classes(n, m)
 
@@ -140,8 +150,13 @@ class TestPathFamily:
         assert path_orbit_oracle(n, m, full_group=True) == path_orbit_oracle(n, m)
 
     def test_oracle_budget(self):
-        with pytest.raises(OracleBudgetError):
-            path_orbit_oracle(6, 2)
+        # 31 * 63 * 64 points; (8, 4) has 61,200.
+        with pytest.raises(BudgetError) as err:
+            path_orbit_oracle(5, 6)
+        assert (err.value.size, err.value.budget) == (124_992, 2**16)
+        assert str(err.value) == (
+            "Burnside oracle refused: 124992 points exceed budget 65536"
+        )
 
 
 class TestInstar:
@@ -358,6 +373,12 @@ class TestUnionFind:
         uf.union(1, 3)
         assert uf.component_count() == 2
         assert uf.find(4) == uf.find(0)
+
+    def test_orbit_count_budget_is_the_exact_size(self):
+        assert orbit_count(2**16, []) == 2**16
+        with pytest.raises(BudgetError) as err:
+            orbit_count(2**16 + 1, [])
+        assert (err.value.size, err.value.budget) == (2**16 + 1, 2**16)
 
 
 class TestTripleBreakdown:
