@@ -31,7 +31,7 @@ def rising_factorial(x: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def stirling1(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind."""
-    if n < 0 or m < 0:
+    if n < 0 or m < 0 or m > n:
         return 0
     if n == 0:
         return 1 if m == 0 else 0

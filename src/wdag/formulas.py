@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from .digraph import BudgetError, DimensionFunction, VWDigraph
 from .equivalence import orbits
 from .gf2 import permute_bits
-from .permutation import Permutation, all_permutations, reduce_top
+from .permutation import Permutation, reduce_top
 
 # orbit_count refuses a space of more points than this; read at call time.
 ORACLE_POINT_BUDGET = 2**16
@@ -129,41 +129,25 @@ def count_unordered_instar_classes(n: int) -> int:
 # is never built and at most one generator's images exist at a time.
 
 
-class UnionFind:
-    """Union-find over the points 0..size-1, in a flat parent list."""
-
-    def __init__(self, points: range):
-        if points != range(len(points)):
-            raise ValueError("union-find points must be range(size)")
-        self.parent = list(points)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def component_count(self) -> int:
-        return sum(1 for x, p in enumerate(self.parent) if x == p)
-
-
-def orbit_count(size: int, images_per_generator: Iterable[Iterable[int]]) -> int:
+def orbit_count(size: int, generators: Iterable[tuple[object, Iterable[int]]]) -> int:
     """Orbits of a group action on the points 0..size-1, from generator
-    closure with union-find.  Each generator is given as its image stream:
-    the images of points 0, 1, ..., size-1 in turn."""
+    closure with union-find over a flat parent list.  Each generator comes
+    as a (generator, images) pair, its images those of points 0, 1, ...,
+    size-1 in turn."""
     if size > ORACLE_POINT_BUDGET:
         raise BudgetError("Burnside oracle", "{} points", size, ORACLE_POINT_BUDGET)
-    uf = UnionFind(range(size))
-    for images in images_per_generator:
+    parent = list(range(size))
+    for _, images in generators:
         for x, y in enumerate(images):
+            if x == y:
+                continue
+            while parent[x] != x:  # find with path halving
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
             if x != y:
-                uf.union(x, y)
-    return uf.component_count()
+                parent[y] = x
+    return sum(1 for x, p in enumerate(parent) if x == p)
 
 
 def _top_action(sigma: Permutation, n: int):
@@ -187,10 +171,9 @@ def _vector_table(sigma: Permutation, n: int) -> tuple[list[int], int]:
     return table, mask
 
 
-def _group_elements(n_plus_1: int, full_group: bool) -> list[Permutation]:
-    if full_group:
-        return list(all_permutations(n_plus_1))
-    return [Permutation.transposition(n_plus_1, t, t + 1) for t in range(1, n_plus_1)]
+def _transpositions(size: int) -> list[Permutation]:
+    """The adjacent transpositions (t t+1), which generate S_size."""
+    return [Permutation.transposition(size, t, t + 1) for t in range(1, size)]
 
 
 def _pair_images(table_v: list[int], table_w: list[int]) -> Iterator[int]:
@@ -208,14 +191,14 @@ def _swap_images(n: int) -> Iterator[int]:
     return (w * nonzero + v for v in range(nonzero) for w in range(nonzero))
 
 
-def _outstar_streams(n: int, full_group: bool):
+def _outstar_streams(n: int):
     """Each generator of the out-star action, with its image stream."""
-    for sigma in _group_elements(n + 1, full_group):
+    for sigma in _transpositions(n + 1):
         table, _ = _vector_table(sigma, n)
         yield sigma, _pair_images(table, table)
 
 
-def outstar_orbit_oracle(n: int, full_group: bool = False) -> int:
+def outstar_orbit_oracle(n: int) -> int:
     """Orbit count of the out-star action on pairs of nonzero dim-n vectors.
 
     The group of the source vertex acts on both weights at once: inside
@@ -223,14 +206,13 @@ def outstar_orbit_oracle(n: int, full_group: bool = False) -> int:
     all-ones-except correction is added componentwise.
     """
     _check_positive(n)
-    streams = _outstar_streams(n, full_group)
-    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
+    return orbit_count(((1 << n) - 1) ** 2, _outstar_streams(n))
 
 
 def _unordered_outstar_streams(n: int):
     """The sink swap (generator None), then the out-star generators."""
     yield None, _swap_images(n)
-    yield from _outstar_streams(n, False)
+    yield from _outstar_streams(n)
 
 
 def unordered_outstar_orbit_oracle(n: int) -> int:
@@ -240,8 +222,7 @@ def unordered_outstar_orbit_oracle(n: int) -> int:
     The source group acts on each weight as in outstar_orbit_oracle.
     """
     _check_positive(n)
-    streams = _unordered_outstar_streams(n)
-    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
+    return orbit_count(((1 << n) - 1) ** 2, _unordered_outstar_streams(n))
 
 
 def _unordered_instar_streams(n: int):
@@ -250,7 +231,7 @@ def _unordered_instar_streams(n: int):
     yield None, _swap_images(n)
     identity = Permutation.identity(n + 1)
     fixed = list(range(1 << n))
-    for sigma in _group_elements(n + 1, False):
+    for sigma in _transpositions(n + 1):
         table, _ = _vector_table(sigma, n)
         yield (sigma, identity), _pair_images(table, fixed)
         yield (identity, sigma), _pair_images(fixed, table)
@@ -264,8 +245,7 @@ def unordered_instar_orbit_oracle(n: int) -> int:
     (v, w) -> (w, v) of the two sources is added as a generator.
     """
     _check_positive(n)
-    streams = _unordered_instar_streams(n)
-    return orbit_count(((1 << n) - 1) ** 2, (images for _, images in streams))
+    return orbit_count(((1 << n) - 1) ** 2, _unordered_instar_streams(n))
 
 
 def _path_images(sigma_table: tuple[list[int], int], tb: list[int]) -> Iterator[int]:
@@ -289,23 +269,19 @@ def _path_images(sigma_table: tuple[list[int], int], tb: list[int]) -> Iterator[
                 yield from (row + t for t in tb)
 
 
-def _path_streams(n: int, m: int, full_group: bool):
+def _path_streams(n: int, m: int):
     """Each generator (sigma, beta) of the path-family action, with its
-    image stream."""
-    sigmas = _group_elements(n + 1, full_group)
-    betas = _group_elements(m + 1, full_group)
-    if full_group:
-        gens = [(sigma, beta) for sigma in sigmas for beta in betas]
-    else:
-        id_n = Permutation.identity(n + 1)
-        id_m = Permutation.identity(m + 1)
-        gens = [(sigma, id_m) for sigma in sigmas] + [(id_n, beta) for beta in betas]
+    image stream: the mid-vertex transpositions, then the source's."""
+    id_n = Permutation.identity(n + 1)
+    id_m = Permutation.identity(m + 1)
+    gens = [(sigma, id_m) for sigma in _transpositions(n + 1)]
+    gens += [(id_n, beta) for beta in _transpositions(m + 1)]
     for sigma, beta in gens:
         beta_table, _ = _vector_table(beta, m)
         yield (sigma, beta), _path_images(_vector_table(sigma, n), beta_table)
 
 
-def path_orbit_oracle(n: int, m: int, full_group: bool = False) -> int:
+def path_orbit_oracle(n: int, m: int) -> int:
     """Orbit count of the path-family action on triples (u, w, w'):
     u a nonzero dim-n vector, w a nonzero dim-m vector, w' any dim-m vector.
 
@@ -315,8 +291,7 @@ def path_orbit_oracle(n: int, m: int, full_group: bool = False) -> int:
     """
     _check_positive(n, m)
     size = ((1 << n) - 1) * ((1 << m) - 1) << m
-    streams = _path_streams(n, m, full_group)
-    return orbit_count(size, (images for _, images in streams))
+    return orbit_count(size, _path_streams(n, m))
 
 
 # ---------------------------------------------------------------------------

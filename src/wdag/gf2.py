@@ -14,10 +14,6 @@ from .permutation import Permutation
 if TYPE_CHECKING:  # pragma: no cover
     from .digraph import VectorMatrix
 
-# Python ints are unbounded, so this is no storage limit: it is a sanity
-# cap, far above the ~8 coordinates an exhaustive sweep can reach.
-MAX_DIM = 62
-
 
 @dataclass(frozen=True)
 class GF2Vector:
@@ -27,8 +23,8 @@ class GF2Vector:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"vector dimension must be in 1..{MAX_DIM}, got {self.dim}")
+        if self.dim < 1:
+            raise ValueError(f"vector dimension must be positive, got {self.dim}")
         if not 0 <= self.bits < (1 << self.dim):
             raise ValueError(f"bits 0x{self.bits:x} out of range for dimension {self.dim}")
 

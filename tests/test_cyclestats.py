@@ -66,6 +66,14 @@ class TestStirling:
         for n in range(9):
             assert sum(stirling1(n, m) for m in range(n + 1)) == factorial(n)
 
+    def test_more_cycles_than_points_is_zero_at_once(self):
+        # stirling1(n, n) asks for stirling1(n - 1, n), which must not recurse
+        # down its column; a cold cache would overflow the stack by n ~ 1000.
+        stirling1.cache_clear()
+        for n in range(1200):
+            assert stirling1(n, n) == 1
+        assert stirling1(3, 5) == 0
+
 
 class TestDivisible:
     def test_frozen_values(self):

@@ -24,6 +24,7 @@ from wdag.digraph import (
     reduced_matrix,
     scalar_reduced_matrices,
 )
+from wdag.equivalence import local_complement
 from wdag.gf2 import GF2Matrix, GF2Vector, gf2_det, all_principal_minors_one
 
 
@@ -380,6 +381,13 @@ class TestJson:
             assert doc["edges"] == [
                 {"from": i, "to": j, "weight": w.to_string()} for i, j, w in g.edges
             ]
+
+    def test_wide_weight_round_trip(self):
+        doc = {"omega": [63, 1], "edges": [{"from": 1, "to": 2, "weight": "1" * 63}]}
+        g = graph_from_json(doc)
+        assert g.weight(1, 2) == GF2Vector.all_ones(63)
+        assert graph_from_json(json.loads(dumps_graph(g))) == g
+        assert local_complement(g, 1) == g
 
     def test_malformed_document(self):
         with pytest.raises(ValueError):

@@ -11,14 +11,16 @@ from wdag.formulas import (
     FAMILY_PATH,
     FAMILY_SINGLE,
     TripleCountBreakdown,
-    UnionFind,
     _exact_div,
-    _group_elements,
     _outstar_streams,
+    _pair_images,
+    _path_images,
     _path_streams,
     _top_action,
+    _transpositions,
     _unordered_instar_streams,
     _unordered_outstar_streams,
+    _vector_table,
     brute_three_vertex_breakdown,
     classify_shape,
     count_classes_three_vertices,
@@ -38,7 +40,7 @@ from wdag.formulas import (
 )
 from wdag.gf2 import GF2Vector
 from wdag.gf2 import permute_bits as _permute_bits
-from wdag.permutation import Permutation
+from wdag.permutation import Permutation, all_permutations
 
 
 class TestTwoVertexFormula:
@@ -78,8 +80,9 @@ class TestOutstar:
         assert outstar_orbit_oracle(1) == 1
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_full_group_agrees_with_generators(self, n):
-        assert outstar_orbit_oracle(n, full_group=True) == outstar_orbit_oracle(n)
+    def test_whole_group_agrees_with_generators(self, n):
+        size = ((1 << n) - 1) ** 2
+        assert orbit_count(size, _outstar_group_streams(n)) == outstar_orbit_oracle(n)
 
     def test_oracle_budget(self):
         # 511^2 points; n = 8 has 255^2 = 65,025.
@@ -146,8 +149,9 @@ class TestPathFamily:
         assert path_orbit_oracle(n, m) == count_path_classes(n, m)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_full_group_agrees_with_generators(self, n, m):
-        assert path_orbit_oracle(n, m, full_group=True) == path_orbit_oracle(n, m)
+    def test_whole_group_agrees_with_generators(self, n, m):
+        size = ((1 << n) - 1) * ((1 << m) - 1) << m
+        assert orbit_count(size, _path_group_streams(n, m)) == path_orbit_oracle(n, m)
 
     def test_oracle_budget(self):
         # 31 * 63 * 64 points; (8, 4) has 61,200.
@@ -186,6 +190,24 @@ class TestInstar:
             ((1, 2), (3, 2)): count_instar_classes(1, 3),
             ((1, 3), (2, 3)): count_instar_classes(1, 2),
         }
+
+
+# The whole group S_{n+1} (times S_{m+1} for the path family), each element
+# compiled as the oracles compile their generators, the adjacent
+# transpositions.  The orbits must not depend on the choice of generators.
+
+
+def _outstar_group_streams(n):
+    for sigma in all_permutations(n + 1):
+        table, _ = _vector_table(sigma, n)
+        yield sigma, _pair_images(table, table)
+
+
+def _path_group_streams(n, m):
+    for sigma in all_permutations(n + 1):
+        for beta in all_permutations(m + 1):
+            beta_table, _ = _vector_table(beta, m)
+            yield (sigma, beta), _path_images(_vector_table(sigma, n), beta_table)
 
 
 # Reference actions: each oracle's group action applied point by point to
@@ -302,20 +324,20 @@ def _assert_streams_match(streams, space, act) -> list:
 
 
 class TestCompiledActions:
-    @pytest.mark.parametrize("full_group", (False, True))
+    @pytest.mark.parametrize("whole_group", (False, True))
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_outstar(self, n, full_group):
-        gens = _assert_streams_match(
-            _outstar_streams(n, full_group), _pair_space(n), _outstar_act(n)
-        )
-        assert gens == _group_elements(n + 1, full_group)
+    def test_outstar(self, n, whole_group):
+        streams = _outstar_group_streams(n) if whole_group else _outstar_streams(n)
+        gens = _assert_streams_match(streams, _pair_space(n), _outstar_act(n))
+        if not whole_group:
+            assert gens == _transpositions(n + 1)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_unordered_outstar(self, n):
         gens = _assert_streams_match(
             _unordered_outstar_streams(n), _pair_space(n), _unordered_outstar_act(n)
         )
-        assert gens == [None, *_group_elements(n + 1, False)]
+        assert gens == [None, *_transpositions(n + 1)]
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_unordered_instar(self, n):
@@ -325,35 +347,32 @@ class TestCompiledActions:
         identity = Permutation.identity(n + 1)
         per_source = [
             pair
-            for sigma in _group_elements(n + 1, False)
+            for sigma in _transpositions(n + 1)
             for pair in ((sigma, identity), (identity, sigma))
         ]
         assert gens == [None, *per_source]
 
-    # The full group on (3,3) is left out: its 576 generators cost about 4 s
-    # of reference actions, and generators moving both vertices at once are
+    # The whole group on (3,3) is left out: its 576 elements cost about 4 s
+    # of reference actions, and elements moving both vertices at once are
     # already checked on (2,3) and (3,2).
     @pytest.mark.parametrize(
-        "n,m,full_group",
+        "n,m,whole_group",
         [
-            (n, m, full_group)
+            (n, m, whole_group)
             for n, m in product((1, 2, 3), repeat=2)
-            for full_group in (False, True)
-            if not (full_group and n == m == 3)
+            for whole_group in (False, True)
+            if not (whole_group and n == m == 3)
         ],
     )
-    def test_path(self, n, m, full_group):
-        gens = _assert_streams_match(
-            _path_streams(n, m, full_group), _path_space(n, m), _path_act(n, m)
-        )
-        sigmas = _group_elements(n + 1, full_group)
-        betas = _group_elements(m + 1, full_group)
-        if full_group:
-            assert gens == [(s, b) for s in sigmas for b in betas]
-        else:
+    def test_path(self, n, m, whole_group):
+        streams = _path_group_streams(n, m) if whole_group else _path_streams(n, m)
+        gens = _assert_streams_match(streams, _path_space(n, m), _path_act(n, m))
+        if not whole_group:
             id_n = Permutation.identity(n + 1)
             id_m = Permutation.identity(m + 1)
-            assert gens == [(s, id_m) for s in sigmas] + [(id_n, b) for b in betas]
+            assert gens == [(s, id_m) for s in _transpositions(n + 1)] + [
+                (id_n, b) for b in _transpositions(m + 1)
+            ]
 
 
 class TestExactDivision:
@@ -365,14 +384,11 @@ class TestExactDivision:
             _exact_div(49, 48)
 
 
-class TestUnionFind:
+class TestOrbitCount:
     def test_component_count(self):
-        uf = UnionFind(range(5))
-        uf.union(0, 1)
-        uf.union(3, 4)
-        uf.union(1, 3)
-        assert uf.component_count() == 2
-        assert uf.find(4) == uf.find(0)
+        # Transpositions joining 0-1, 3-4 and 1-3 leave orbits {0,1,3,4}, {2}.
+        joins = {"0-1": [1, 0, 2, 3, 4], "3-4": [0, 1, 2, 4, 3], "1-3": [0, 3, 2, 1, 4]}
+        assert orbit_count(5, joins.items()) == 2
 
     def test_orbit_count_budget_is_the_exact_size(self):
         assert orbit_count(2**16, []) == 2**16
