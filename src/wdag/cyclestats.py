@@ -13,7 +13,7 @@ an exhaustive census of S_n is the external oracle for all three.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 from itertools import permutations
 from math import factorial
 
@@ -28,8 +28,42 @@ def rising_factorial(x: int, n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def stirling1(n: int, m: int) -> int:
+def _memoised(recurrence):
+    """Memoise a recurrence in n written as a generator: it yields the
+    tuple of argument tuples it needs, is sent their values, and returns
+    its own value.  A miss fills the table bottom-up: each state waits on
+    an explicit stack until every state it needs, all of smaller n, is in
+    the table, so a long chain of them never deepens Python's call stack."""
+    table: dict[tuple[int, ...], int] = {}
+
+    @wraps(recurrence)
+    def value(*args: int) -> int:
+        if args in table:
+            return table[args]
+        stack = [[args, recurrence(*args), None]]
+        while stack:
+            frame = stack[-1]
+            state, steps, needs = frame
+            values = None
+            if needs is not None:
+                missing = next((s for s in needs if s not in table), None)
+                if missing is not None:
+                    stack.append([missing, recurrence(*missing), None])
+                    continue
+                values = tuple(table[s] for s in needs)
+            try:
+                frame[2] = steps.send(values)
+            except StopIteration as done:
+                table[state] = done.value
+                stack.pop()
+        return table[args]
+
+    value.cache_clear = table.clear
+    return value
+
+
+@_memoised
+def stirling1(n: int, m: int):
     """Unsigned Stirling number of the first kind."""
     if n < 0 or m < 0 or m > n:
         return 0
@@ -37,43 +71,42 @@ def stirling1(n: int, m: int) -> int:
         return 1 if m == 0 else 0
     if m == 0:
         return 0
-    return stirling1(n - 1, m - 1) + (n - 1) * stirling1(n - 1, m)
+    fewer, same = yield (n - 1, m - 1), (n - 1, m)
+    return fewer + (n - 1) * same
 
 
-@lru_cache(maxsize=None)
-def _div_by_removal(d: int, n: int, m: int) -> int:
+@_memoised
+def _div_by_removal(d: int, n: int, m: int):
     # Remove the cycle containing the largest element; its length is a
-    # multiple dk of d, chosen in (n-1)!/(n-dk)! ways.
-    if n < 0 or m < 0:
+    # multiple dk of d, chosen in (n-1)!/(n-dk)! ways.  Fewer points than
+    # cycles leave nothing, so dk stops at n - m + 1.
+    if n < 0 or m < 0 or m > n:
         return 0
     if n == 0:
         return 1 if m == 0 else 0
     if n % d != 0 or m == 0:
         return 0
+    lengths = range(d, n - m + 2, d)
+    rests = yield tuple((d, n - length, m - 1) for length in lengths)
     total = 0
-    for k in range(1, n // d + 1):
-        total += (
-            factorial(n - 1)
-            // factorial(n - d * k)
-            * _div_by_removal(d, n - d * k, m - 1)
-        )
+    for length, rest in zip(lengths, rests):
+        total += factorial(n - 1) // factorial(n - length) * rest
     return total
 
 
-@lru_cache(maxsize=None)
-def _div_by_step(d: int, n: int, m: int) -> int:
+@_memoised
+def _div_by_step(d: int, n: int, m: int):
     # Step down by d: the cycle holding the top element either has length
     # exactly d or loses d of its members.
-    if n < 0 or m < 0:
+    if n < 0 or m < 0 or m > n:
         return 0
     if n == 0:
         return 1 if m == 0 else 0
     if n % d != 0:
         return 0
     prev = n - d
-    return rising_factorial(prev + 1, d - 1) * _div_by_step(
-        d, prev, m - 1
-    ) + rising_factorial(prev, d) * _div_by_step(d, prev, m)
+    fewer, same = yield (d, prev, m - 1), (d, prev, m)
+    return rising_factorial(prev + 1, d - 1) * fewer + rising_factorial(prev, d) * same
 
 
 def stirling1_all_divisible(d: int, n: int, m: int) -> int:
@@ -89,42 +122,38 @@ def stirling1_all_divisible(d: int, n: int, m: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
-def _even_by_step(n: int, m: int, e: int) -> int:
+@_memoised
+def _even_by_step(n: int, m: int, e: int):
     # The cycle holding the top element has length 1, length 2, or length
     # greater than 2 (drop the top element and its successor).
-    if n < 0 or m < 0 or e < 0:
+    if n < 0 or m < 0 or e < 0 or m > n:
         return 0
     if n == 0:
         return 1 if m == 0 and e == 0 else 0
-    return (
-        _even_by_step(n - 1, m - 1, e)
-        + (n - 1) * _even_by_step(n - 2, m - 1, e - 1)
-        + (n - 1) * (n - 2) * _even_by_step(n - 2, m, e)
-    )
+    fixed, swap, longer = yield (n - 1, m - 1, e), (n - 2, m - 1, e - 1), (n - 2, m, e)
+    return fixed + (n - 1) * swap + (n - 1) * (n - 2) * longer
 
 
-@lru_cache(maxsize=None)
-def _even_by_removal(n: int, m: int, e: int) -> int:
+@_memoised
+def _even_by_removal(n: int, m: int, e: int):
     # Remove the whole cycle containing the top element, split by parity
-    # of its length 2t+1 or 2t.
-    if n < 0 or m < 0 or e < 0:
+    # of its length 2t+1 or 2t.  Fewer points than cycles leave nothing,
+    # so the length stops at n - m + 1.
+    if n < 0 or m < 0 or e < 0 or m > n:
         return 0
     if n == 0:
         return 1 if m == 0 and e == 0 else 0
+    if m == 0:
+        return 0
+    odd = range(1, n - m + 2, 2)
+    even = range(2, n - m + 2, 2)
+    rests = yield (
+        *((n - length, m - 1, e) for length in odd),
+        *((n - length, m - 1, e - 1) for length in even),
+    )
     total = 0
-    for t in range(0, (n - 1) // 2 + 1):
-        total += (
-            factorial(n - 1)
-            // factorial(n - 2 * t - 1)
-            * _even_by_removal(n - 2 * t - 1, m - 1, e)
-        )
-    for t in range(1, n // 2 + 1):
-        total += (
-            factorial(n - 1)
-            // factorial(n - 2 * t)
-            * _even_by_removal(n - 2 * t, m - 1, e - 1)
-        )
+    for length, rest in zip((*odd, *even), rests):
+        total += factorial(n - 1) // factorial(n - length) * rest
     return total
 
 

@@ -275,7 +275,7 @@ def dag_census(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     layers with at least one from the immediately preceding layer.  That
     decomposition is unique, so nothing is repeated.
     """
-    size = count_acyclic(DimensionFunction((1,) * m)) if m else 1
+    size = count_dags(m)
     if size > ITEM_BUDGET:
         raise BudgetError("DAG census", "{} DAGs", size, ITEM_BUDGET)
 

@@ -5,20 +5,27 @@ Two acyclic graphs are equivalent when a sequence of the three moves
 turns one into the other.  Orbits are computed by breadth-first closure
 under a small involutive generating set, and an independent oracle
 realizes each single-vertex move as a facet permutation acting on the
-full characteristic matrix followed by GF(2) row reduction.
+full characteristic matrix followed by GF(2) row reduction.  Classes
+are found either by sweeping the whole space of acyclic graphs or one
+reachability poset at a time, inside the graphs whose support closes
+to it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import factorial, prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
+from . import digraph
 from .digraph import (
     BudgetError,
     DimensionFunction,
     VWDigraph,
+    count_acyclic,
     enumerate_acyclic,
     is_acyclic,
 )
@@ -220,19 +227,12 @@ def facet_permutation_action(
 # ---------------------------------------------------------------------------
 
 
-def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
-    """Involutive generating set: dimension-preserving vertex swaps,
-    adjacent out-weight transpositions, and identity-(k) local
-    complementations, each a public move bound to its arguments.  These
-    generate the whole equivalence because each full single-vertex move
-    factors into them."""
-    m = omega.m
+def facet_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
+    """Adjacent out-weight transpositions and identity-(k) local
+    complementations, as bound public moves.  They generate the facet
+    permutations of every vertex, and none of them changes the transitive
+    closure of the support."""
     return [
-        *(
-            partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
-            for p, q in combinations(range(1, m + 1), 2)
-            if omega.dim(p) == omega.dim(q)
-        ),
         *(
             partial(permute_out_weights, v=v, sigma=Permutation.transposition(d, t, t + 1))
             for v, d in enumerate(omega.dims, start=1)
@@ -246,6 +246,21 @@ def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], 
     ]
 
 
+def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
+    """Involutive generating set: dimension-preserving vertex swaps and the
+    facet generators.  These generate the whole equivalence because each
+    full single-vertex move factors into them."""
+    m = omega.m
+    return [
+        *(
+            partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
+            for p, q in combinations(range(1, m + 1), 2)
+            if omega.dim(p) == omega.dim(q)
+        ),
+        *facet_generators(omega),
+    ]
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     canonical: VWDigraph
@@ -253,12 +268,11 @@ class OrbitReport:
     members: tuple[VWDigraph, ...] | None = None
 
 
-def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
-    """Breadth-first closure of g under the standard generators."""
-    if not is_acyclic(g):
-        raise ValueError("orbits are computed for acyclic graphs only")
+def _closure(
+    g: VWDigraph, gens: list[Callable[[VWDigraph], VWDigraph]]
+) -> dict[tuple[int, ...], VWDigraph]:
+    """Breadth-first closure of g under gens, keyed by the members' keys."""
     budget = ORBIT_BUDGET
-    gens = standard_generators(g.omega)
     seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
     frontier = [g]
     while frontier:
@@ -274,6 +288,14 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
                             "orbit", "at least {} members", len(seen), budget
                         )
         frontier = nxt
+    return seen
+
+
+def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
+    """Breadth-first closure of g under the standard generators."""
+    if not is_acyclic(g):
+        raise ValueError("orbits are computed for acyclic graphs only")
+    seen = _closure(g, standard_generators(g.omega))
     by_serial = attrgetter("serial")
     canonical = min(seen.values(), key=by_serial)
     members = tuple(sorted(seen.values(), key=by_serial)) if include_members else None
@@ -282,9 +304,9 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
 
 def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
     """Every orbit of the acyclic graphs of shape omega once, with its
-    members.  Enumeration runs in serial order, so each orbit is met first
-    at its canonical member and the canonical members arrive in strictly
-    increasing serial order."""
+    members: the whole-space sweep.  Enumeration runs in serial order, so
+    each orbit is met first at its canonical member and the canonical
+    members arrive in strictly increasing serial order."""
     seen: set[tuple[int, ...]] = set()
     for g in enumerate_acyclic(omega):
         if g.key not in seen:
@@ -296,3 +318,176 @@ def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
 def count_equivalence_classes(omega: DimensionFunction) -> int:
     """Partition all acyclic weighted digraphs into orbits; return the count."""
     return sum(1 for _ in orbits(omega))
+
+
+# ---------------------------------------------------------------------------
+# Slicing by reachability poset
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Poset:
+    """A partial order on the vertices of omega: (a, b) is a relation,
+    1-indexed, when a reaches b.  Covers are the relations no third vertex
+    splits.  automorphisms is Aut_omega(P), the dimension-preserving
+    vertex permutations that fix P, identity first; index is its index
+    in S_omega."""
+
+    omega: DimensionFunction
+    relations: tuple[tuple[int, int], ...]
+    covers: frozenset[tuple[int, int]]
+    automorphisms: tuple[Permutation, ...]
+    index: int
+
+    def _weights(self) -> list[range]:
+        """The weights each relation may carry: nonzero on a cover, any
+        weight on every other relation.  Every support then lies between
+        the covers and P, so it closes to exactly P."""
+        dims = self.omega.dims
+        return [range((a, b) in self.covers, 1 << dims[a - 1]) for a, b in self.relations]
+
+    @property
+    def slice_size(self) -> int:
+        """Number of graphs whose support closes to exactly P."""
+        return prod(map(len, self._weights()))
+
+    def slice_keys(self) -> Iterator[tuple[int, ...]]:
+        """The keys of the slice of P, a product space: no acyclicity test."""
+        m = self.omega.m
+        positions = [(a - 1) * m + b - 1 for a, b in self.relations]
+        for chosen in product(*self._weights()):
+            key = [0] * (m * m)
+            for p, w in zip(positions, chosen):
+                key[p] = w
+            yield tuple(key)
+
+
+def _natural_posets(m: int) -> list[tuple[int, ...]]:
+    """Every naturally labelled poset on points 0..m-1 once, as the tuple
+    of bitmasks of the points below each point.  Point i is added as a new
+    maximal point over each down-set of points 0..i-1."""
+    posets: list[tuple[int, ...]] = [()]
+    for i in range(m):
+        posets = [
+            below + (down,)
+            for below in posets
+            for down in range(1 << i)
+            if all(below[x] & ~down == 0 for x in range(i) if down >> x & 1)
+        ]
+    return posets
+
+
+def _relabellings(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """S_omega: the vertex permutations, 0-indexed images, that preserve
+    every dimension, identity first."""
+    return [
+        perm
+        for perm in permutations(range(len(dims)))
+        if all(dims[w] == d for w, d in zip(perm, dims))
+    ]
+
+
+def _image(pairs: list[tuple[int, int]], perm: tuple[int, ...], m: int) -> int:
+    """The relation set {(perm a, perm b)} as a bitmask of positions a*m + b."""
+    return sum(1 << (perm[a] * m + perm[b]) for a, b in pairs)
+
+
+def reachability_posets(omega: DimensionFunction) -> list[Poset]:
+    """One poset on the vertices of omega per class under S_omega, each the
+    least image of its class as a bitmask of positions.  Every naturally
+    labelled poset is laid out once for each arrangement of the
+    dimensions on its points, then taken to its least image."""
+    dims = omega.dims
+    m = len(dims)
+    group = _relabellings(dims)
+    natural = _natural_posets(m)
+    codes = set()
+    for arrangement in sorted(set(permutations(dims))):
+        # Point i becomes the next unused vertex of dimension arrangement[i].
+        free = {d: [v for v, dv in enumerate(dims) if dv == d] for d in set(dims)}
+        vertex = [free[d].pop(0) for d in arrangement]
+        for below in natural:
+            pairs = [
+                (vertex[x], vertex[i]) for i in range(m) for x in range(i) if below[i] >> x & 1
+            ]
+            codes.add(min(_image(pairs, perm, m) for perm in group))
+    posets = []
+    for code in sorted(codes):
+        pairs = [divmod(p, m) for p in range(m * m) if code >> p & 1]
+        related = set(pairs)
+        covers = frozenset(
+            (a + 1, b + 1)
+            for a, b in pairs
+            if not any((a, c) in related and (c, b) in related for c in range(m))
+        )
+        automorphisms = tuple(
+            Permutation(tuple(v + 1 for v in perm))
+            for perm in group
+            if _image(pairs, perm, m) == code
+        )
+        posets.append(
+            Poset(
+                omega,
+                tuple((a + 1, b + 1) for a, b in pairs),
+                covers,
+                automorphisms,
+                len(group) // len(automorphisms),
+            )
+        )
+    return posets
+
+
+@dataclass(frozen=True)
+class SliceReport:
+    """One class: the poset its members close to (up to S_omega), its first
+    member in that poset's slice, and the size of its whole orbit."""
+
+    poset: Poset
+    representative: VWDigraph
+    size: int
+
+
+def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
+    """Every class of the acyclic graphs of shape omega once, one poset at
+    a time.
+
+    The facet generators keep the closure of the support fixed, so a class
+    meets the slice of its poset P in one orbit of the facet generators and
+    the reorderings in Aut_omega(P), and its whole orbit is that times
+    [S_omega : Aut_omega(P)].  Two checks come free and raise
+    ArithmeticError on a failure: each orbit size divides the order of the
+    group, prod (d_i+1)! times prod (multiplicity)!, and the sizes sum to
+    count_acyclic(omega), after the last report.  Refuses on the exact
+    number of slice graphs against digraph.ITEM_BUDGET, at the first next().
+    """
+    posets = reachability_posets(omega)
+    visits, budget = sum(p.slice_size for p in posets), digraph.ITEM_BUDGET
+    if visits > budget:
+        raise BudgetError("slicing", "{} slice graphs", visits, budget)
+    dims = omega.dims
+    group = prod(factorial(d + 1) for d in dims) * prod(
+        factorial(k) for k in Counter(dims).values()
+    )
+    facet = facet_generators(omega)
+    total = 0
+    for poset in posets:
+        gens = facet + [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
+        seen: set[tuple[int, ...]] = set()
+        for key in poset.slice_keys():
+            if key in seen:
+                continue
+            first = VWDigraph._from_key(omega, key)
+            members = _closure(first, gens)
+            seen.update(members)
+            size = len(members) * poset.index
+            if group % size:
+                raise ArithmeticError(
+                    f"orbit of {size} graphs does not divide the group order {group}"
+                )
+            total += size
+            yield SliceReport(poset, first, size)
+    acyclic = count_acyclic(omega)
+    if total != acyclic:
+        raise ArithmeticError(
+            f"sliced orbits cover {total} graphs, count_acyclic gives {acyclic}"
+        )

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
+
+import wdag
 
 from wdag.cyclestats import (
     IDENTITY_NAMES,
@@ -73,6 +79,26 @@ class TestStirling:
         for n in range(1200):
             assert stirling1(n, n) == 1
         assert stirling1(3, 5) == 0
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        ("stirling1(1200, 1)", "factorial(1199)"),
+        ("stirling1_all_divisible(2, 1200, 1200)", "0"),
+        ("stirling1_by_even(1200, 1200, 0)", "1"),
+    ],
+)
+def test_cold_table_fills_without_recursion_error(call, value):
+    # A fresh process starts with empty tables, so the whole chain of
+    # smaller n is filled by this one call.
+    code = (
+        "from math import factorial\n"
+        "from wdag.cyclestats import *\n"
+        f"assert {call} == {value}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wdag.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
 
 
 class TestDivisible:

@@ -65,6 +65,14 @@ class TestCensus:
             "DAG census refused: 1138779265 DAGs exceed budget 100000000"
         )
 
+    def test_refusal_past_sixteen_vertices_names_the_dag_count(self):
+        with pytest.raises(BudgetError) as err:
+            next(dag_census(17))
+        assert err.value.size == count_dags(17)
+        assert str(err.value) == (
+            f"DAG census refused: {count_dags(17)} DAGs exceed budget 100000000"
+        )
+
     def test_all_members_acyclic_and_minors_one(self):
         # Reduced scalar matrices of all 25 three-vertex DAGs.
         mats = list(scalar_reduced_matrices(3))

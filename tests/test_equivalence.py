@@ -1,11 +1,13 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wdag import equivalence
+from wdag import digraph, equivalence
 from wdag.digraph import (
     BudgetError,
     DimensionFunction,
@@ -17,14 +19,17 @@ from wdag.digraph import (
 )
 from wdag.equivalence import (
     count_equivalence_classes,
+    facet_generators,
     facet_permutation_action,
     local_complement,
     orbit,
     orbits,
     permute_out_weights,
+    reachability_posets,
     reorder_vertices,
     sigma_k_local_complement,
     sigma_local_complement,
+    sliced_orbits,
     standard_generators,
 )
 from wdag.gf2 import GF2Vector
@@ -369,3 +374,102 @@ class TestClassCounts:
         )
         with pytest.raises(ValueError, match="acyclic"):
             orbit(g)
+
+
+def closure(edges, m):
+    """The transitive closure of edges (a, b) on vertices 1..m, as a set."""
+    reach = [0] * (m + 1)
+    for a, b in edges:
+        reach[a] |= 1 << b
+    for k in range(1, m + 1):  # Warshall: add the paths through vertex k
+        for i in range(1, m + 1):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    vertices = range(1, m + 1)
+    return frozenset((i, j) for i in vertices for j in vertices if reach[i] >> j & 1)
+
+
+@st.composite
+def acyclic_graphs(draw):
+    """Edges only forward along a drawn vertex order, on up to four
+    vertices of dimension up to 3."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    m = len(dims)
+    order = draw(st.permutations(range(1, m + 1)))
+    weights = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            u, v = order[a], order[b]
+            bits = draw(st.integers(0, (1 << dims[u - 1]) - 1))
+            if bits:
+                weights[(u, v)] = GF2Vector(dims[u - 1], bits)
+    return VWDigraph(DimensionFunction(tuple(dims)), weights)
+
+
+# Every shape with m <= 3 and dimensions <= 3; at m = 4 the sorted shapes
+# with dimensions <= 2 and one unsorted one (class counts do not depend on
+# the order of the dimensions).
+SLICE_SHAPES = [
+    *(dims for m in range(1, 4) for dims in product(range(1, 4), repeat=m)),
+    *combinations_with_replacement(range(1, 3), 4),
+    (2, 1, 2, 1),
+]
+
+
+class TestSlicing:
+    @pytest.mark.parametrize("dims", SLICE_SHAPES)
+    def test_sliced_count_equals_the_whole_space_sweep(self, dims):
+        omega = DimensionFunction(dims)
+        assert sum(1 for _ in sliced_orbits(omega)) == count_equivalence_classes(omega)
+
+    @pytest.mark.parametrize("m, want", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
+    def test_posets_on_unit_dimensions(self, m, want):
+        # The distinct closures of all DAGs on m vertices, up to relabelling.
+        labelled = {closure(edges, m) for edges in dag_census(m)}
+        classes = {
+            min(
+                tuple(sorted((p[a - 1], p[b - 1]) for a, b in order))
+                for p in permutations(range(1, m + 1))
+            )
+            for order in labelled
+        }
+        assert len(reachability_posets(DimensionFunction((1,) * m))) == len(classes) == want
+
+    def test_posets_carry_automorphisms_and_index(self):
+        # (2,1,1): the out-star from the dimension-2 vertex to the two unit
+        # vertices is fixed by their swap, the edge 1 -> 2 is not.
+        posets = {p.relations: p for p in reachability_posets(DimensionFunction.of(2, 1, 1))}
+        star, edge = posets[((1, 2), (1, 3))], posets[((1, 2),)]
+        assert [mu.images for mu in star.automorphisms] == [(1, 2, 3), (1, 3, 2)]
+        assert (star.index, edge.index) == (1, 2)
+        assert star.covers == {(1, 2), (1, 3)} and star.slice_size == 9
+
+    @given(acyclic_graphs())
+    def test_facet_generators_keep_the_closure(self, g):
+        def support_closure(h):
+            return closure([(a, b) for a, b, _ in h.edges], h.omega.m)
+
+        for gen in facet_generators(g.omega):
+            assert support_closure(gen(g)) == support_closure(g)
+
+    def test_orbit_sizes_are_whole_orbits(self):
+        omega = DimensionFunction.of(1, 1, 2)
+        sliced = sorted(report.size for report in sliced_orbits(omega))
+        assert sliced == sorted(report.size for report in orbits(omega))
+
+    def test_wrong_acyclic_count_raises(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "count_acyclic", lambda omega: 26)
+        with pytest.raises(ArithmeticError, match="cover 25 graphs, count_acyclic gives 26"):
+            list(sliced_orbits(DimensionFunction.of(1, 1, 1)))
+
+    def test_budget_is_the_exact_slice_total(self, monkeypatch):
+        # (3,3,3) visits 498 slice graphs of its 2,689 acyclic graphs.
+        omega = DimensionFunction.of(3, 3, 3)
+        assert sum(p.slice_size for p in reachability_posets(omega)) == 498
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 498)
+        assert sum(1 for _ in sliced_orbits(omega)) == 24
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 497)
+        with pytest.raises(BudgetError) as err:
+            next(sliced_orbits(omega))
+        assert (err.value.size, err.value.budget) == (498, 497)
+        assert str(err.value) == "slicing refused: 498 slice graphs exceed budget 497"

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from wdag.digraph import BudgetError, DimensionFunction, VWDigraph
-from wdag.equivalence import count_equivalence_classes
+from wdag.equivalence import count_equivalence_classes, orbits
 from wdag.formulas import (
     FAMILY_EMPTY,
     FAMILY_INSTAR,
@@ -484,7 +484,21 @@ class TestClassifyShape:
             classify_shape(VWDigraph(DimensionFunction.of(1, 1)))
 
 
+def sweep_breakdown(dims):
+    """Classes per family from the whole-space sweep: the reference the
+    sliced breakdown is checked against."""
+    families = (FAMILY_EMPTY, FAMILY_SINGLE, FAMILY_OUTSTAR, FAMILY_INSTAR, FAMILY_PATH)
+    per_type = {family: 0 for family in families}
+    for report in orbits(DimensionFunction(dims)):
+        per_type[classify_shape(report.canonical)] += 1
+    return per_type
+
+
 class TestBruteBreakdown:
+    @pytest.mark.parametrize("dims", list(product(range(1, 4), repeat=3)))
+    def test_sliced_families_equal_the_sweep(self, dims):
+        assert brute_three_vertex_breakdown(*dims).per_type == sweep_breakdown(dims)
+
     def test_unit_dimensions(self):
         brute = brute_three_vertex_breakdown(1, 1, 1)
         assert brute.total == 5
