@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
+from operator import mul
 
 
 def rising_factorial(x: int, n: int) -> int:
@@ -88,10 +89,9 @@ def _div_by_removal(d: int, n: int, m: int):
         return 0
     lengths = range(d, n - m + 2, d)
     rests = yield tuple((d, n - length, m - 1) for length in lengths)
-    total = 0
-    for length, rest in zip(lengths, rests):
-        total += factorial(n - 1) // factorial(n - length) * rest
-    return total
+    # ways[k] = (n-1)(n-2)...(n-k), the ways to fill a cycle of length k+1.
+    ways = list(accumulate(range(n - 1, m - 1, -1), mul, initial=1))
+    return sum(ways[length - 1] * rest for length, rest in zip(lengths, rests))
 
 
 @_memoised
@@ -151,10 +151,9 @@ def _even_by_removal(n: int, m: int, e: int):
         *((n - length, m - 1, e) for length in odd),
         *((n - length, m - 1, e - 1) for length in even),
     )
-    total = 0
-    for length, rest in zip((*odd, *even), rests):
-        total += factorial(n - 1) // factorial(n - length) * rest
-    return total
+    # ways[k] = (n-1)(n-2)...(n-k), the ways to fill a cycle of length k+1.
+    ways = list(accumulate(range(n - 1, m - 1, -1), mul, initial=1))
+    return sum(ways[length - 1] * rest for length, rest in zip((*odd, *even), rests))
 
 
 def stirling1_by_even(n: int, m: int, e: int) -> int:

@@ -348,29 +348,38 @@ def scalar_reduced_matrices(m: int) -> Iterator[GF2Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _row_tables(omega: DimensionFunction) -> list[list[tuple[int, tuple]]]:
-    """For each vertex i, every possible row i of the key in serial order,
-    as (out-set bitmask, edge items (i, j, weight)).
+def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
+    """Every acyclic weighted digraph exactly once, in increasing ``serial``.
 
-    A row is a product over its positions of the zero value and the
-    nonzero values sorted by their bit strings; the zero string sorts
-    first, and the diagonal allows only zero.  One ``GF2Vector`` per
-    weight is shared by every row and every graph.
+    ``serial`` joins fixed-width strings, one per key position, in
+    row-major order, so serial order is the lexicographic order of rows
+    1..m.  The search chooses rows 1..m in turn.  A cycle among rows 1..i
+    passes through its highest vertex i, so row i may not point at a
+    vertex that already reaches i; that set always holds i itself, the
+    diagonal.  Graphs are streamed, never stored; a refusal is raised at
+    the first ``next()``.
     """
+    size = count_acyclic(omega)
+    if size > ITEM_BUDGET:
+        raise BudgetError("enumeration", "{} acyclic graphs", size, ITEM_BUDGET)
     dims = omega.dims
-    m = len(dims)
-    # A single vertex has no off-diagonal position, whatever its dimension.
-    strings = {t.dim: t for t in _serial_tables(dims)} if m > 1 else {}
-    weights = {
-        d: [GF2Vector(d, bits) for bits in sorted(range(1, 1 << d), key=t.__getitem__)]
-        for d, t in strings.items()
-    }
-    tables = []
-    for i, d in enumerate(dims, start=1):
+    last = omega.m - 1
+    weights = {}  # dimension -> its nonzero weights, sorted by bit string
+    allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
+
+    def rows(i: int, blocked: int) -> list[tuple[int, tuple]]:
+        """Row i+1 in serial order, as (out-set bitmask, edge items): a
+        product over its positions of no edge, then each weight unless the
+        position is blocked.  One GF2Vector per weight is shared by every
+        row and every graph."""
+        d = dims[i]
+        free = [j for j in range(len(dims)) if not blocked >> j & 1]
+        if free and d not in weights:
+            order = sorted(range(1, 1 << d), key=_BitStrings(d).__getitem__)
+            weights[d] = [GF2Vector(d, bits) for bits in order]
         choices = [[(0, ())] for _ in dims]
-        for j in range(1, m + 1):
-            if j != i:
-                choices[j - 1] += [(1 << (j - 1), ((i, j, w),)) for w in weights[d]]
+        for j in free:
+            choices[j] += [(1 << j, ((i + 1, j + 1, w),)) for w in weights[d]]
         table = []
         for row in product(*choices):
             mask, items = 0, ()
@@ -378,26 +387,7 @@ def _row_tables(omega: DimensionFunction) -> list[list[tuple[int, tuple]]]:
                 mask |= bit
                 items += item
             table.append((mask, items))
-        tables.append(table)
-    return tables
-
-
-def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
-    """Every acyclic weighted digraph exactly once, in increasing ``serial``.
-
-    ``serial`` joins fixed-width strings, one per key position, in
-    row-major order, so serial order is the lexicographic order of rows
-    1..m.  The search chooses rows 1..m in turn from the row tables.  A
-    cycle among rows 1..i passes through its highest vertex i, so row i
-    may not point at a vertex that already reaches i.  Graphs are
-    streamed, never stored; a refusal is raised at the first ``next()``.
-    """
-    size = count_acyclic(omega)
-    if size > ITEM_BUDGET:
-        raise BudgetError("enumeration", "{} acyclic graphs", size, ITEM_BUDGET)
-    tables = _row_tables(omega)
-    last = omega.m - 1
-    allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
+        return table
 
     def choose(i: int, masks: tuple[int, ...], prefix: tuple) -> Iterator[VWDigraph]:
         # Reverse search from vertex i+1 over the out-sets of rows 1..i.
@@ -408,14 +398,14 @@ def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
                 if out & reach and not reach >> k & 1:
                     reach |= 1 << k
                     grew = True
-        rows = allowed.get((i, reach))
-        if rows is None:
-            rows = allowed[(i, reach)] = [r for r in tables[i] if not r[0] & reach]
+        table = allowed.get((i, reach))
+        if table is None:
+            table = allowed[(i, reach)] = rows(i, reach)
         if i == last:
-            for _, items in rows:
+            for _, items in table:
                 yield VWDigraph(omega, prefix + items)
         else:
-            for out, items in rows:
+            for out, items in table:
                 yield from choose(i + 1, masks + (out,), prefix + items)
 
     yield from choose(0, (), ())

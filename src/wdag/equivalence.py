@@ -396,21 +396,34 @@ def reachability_posets(omega: DimensionFunction) -> list[Poset]:
     """One poset on the vertices of omega per class under S_omega, each the
     least image of its class as a bitmask of positions.  Every naturally
     labelled poset is laid out once for each arrangement of the
-    dimensions on its points, then taken to its least image."""
+    dimensions on its points: these layouts are the candidates.  A
+    candidate not met before starts a class; of its images under S_omega
+    the least is kept and those that are candidates are remembered."""
     dims = omega.dims
     m = len(dims)
     group = _relabellings(dims)
     natural = _natural_posets(m)
-    codes = set()
+    layouts = []
     for arrangement in sorted(set(permutations(dims))):
         # Point i becomes the next unused vertex of dimension arrangement[i].
         free = {d: [v for v, dv in enumerate(dims) if dv == d] for d in set(dims)}
-        vertex = [free[d].pop(0) for d in arrangement]
+        layouts.append([free[d].pop(0) for d in arrangement])
+    # A relation set is a candidate when it runs forward in some layout.
+    forward = [
+        sum(1 << (vertex[x] * m + vertex[i]) for i in range(m) for x in range(i))
+        for vertex in layouts
+    ]
+    codes, met = set(), set()
+    for vertex in layouts:
         for below in natural:
             pairs = [
                 (vertex[x], vertex[i]) for i in range(m) for x in range(i) if below[i] >> x & 1
             ]
-            codes.add(min(_image(pairs, perm, m) for perm in group))
+            if _image(pairs, group[0], m) in met:
+                continue
+            images = {_image(pairs, perm, m) for perm in group}
+            codes.add(min(images))
+            met.update(c for c in images if any(not c & ~f for f in forward))
     posets = []
     for code in sorted(codes):
         pairs = [divmod(p, m) for p in range(m * m) if code >> p & 1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digraph import BudgetError, DimensionFunction, VWDigraph
+from .digraph import BudgetError, DimensionFunction
 from .equivalence import sliced_orbits
 from .gf2 import permute_bits
 from .permutation import Permutation, reduce_top
@@ -308,7 +308,16 @@ FAMILY_OUTSTAR = "out-star"
 FAMILY_INSTAR = "in-star"
 FAMILY_PATH = "path-triangle"
 
-_FAMILIES = (FAMILY_EMPTY, FAMILY_SINGLE, FAMILY_OUTSTAR, FAMILY_INSTAR, FAMILY_PATH)
+# The five posets on three points, keyed by how many vertices their covers
+# leave and enter: the antichain, one edge, the out-star, the in-star and
+# the chain, whose graphs are the paths and the triangles.
+_FAMILY_OF_COVERS = {
+    (0, 0): FAMILY_EMPTY,
+    (1, 1): FAMILY_SINGLE,
+    (1, 2): FAMILY_OUTSTAR,
+    (2, 1): FAMILY_INSTAR,
+    (2, 2): FAMILY_PATH,
+}
 
 
 @dataclass(frozen=True)
@@ -427,34 +436,15 @@ def count_classes_three_vertices_corrected(
     )
 
 
-def classify_shape(g: VWDigraph) -> str:
-    """Family of a three-vertex graph: empty, single edge, out-star,
-    in-star, or the path/chorded-path family."""
-    if g.omega.m != 3:
-        raise ValueError("shape families are defined for three vertices")
-    edges = [(i, j) for i, j, _ in g.edges]
-    if len(edges) == 0:
-        return FAMILY_EMPTY
-    if len(edges) == 1:
-        return FAMILY_SINGLE
-    if len(edges) == 2:
-        (a1, b1), (a2, b2) = edges
-        if a1 == a2:
-            return FAMILY_OUTSTAR
-        if b1 == b2:
-            return FAMILY_INSTAR
-        return FAMILY_PATH
-    return FAMILY_PATH
-
-
 def brute_three_vertex_breakdown(n1: int, n2: int, n3: int) -> TripleCountBreakdown:
     """Orbit-enumeration counterpart of the three-vertex closed forms: tallies
-    the classes of equivalence.sliced_orbits per shape family.  The family
-    of a graph depends only on the poset its support closes to, so the first
-    member of each class in its slice names the family of the class."""
-    per_type = {family: 0 for family in _FAMILIES}
+    the classes of equivalence.sliced_orbits per shape family, read off
+    the covers of each class's poset."""
+    per_type = {family: 0 for family in _FAMILY_OF_COVERS.values()}
     for report in sliced_orbits(DimensionFunction.of(n1, n2, n3)):
-        per_type[classify_shape(report.representative)] += 1
+        covers = report.poset.covers
+        shape = len({a for a, _ in covers}), len({b for _, b in covers})
+        per_type[_FAMILY_OF_COVERS[shape]] += 1
     return TripleCountBreakdown(
         total=sum(per_type.values()), per_type=per_type, branch="brute-force"
     )

@@ -341,6 +341,11 @@ class TestStreamedEnumeration:
         assert count_acyclic(omega) == 5_140_479
         assert next(enumerate_acyclic(omega)) == VWDigraph(omega)
 
+    def test_lone_vertex_builds_no_weights(self):
+        # 2^63 - 1 weights would never finish; a lone vertex has no free position.
+        omega = DimensionFunction.of(63)
+        assert list(enumerate_acyclic(omega)) == [VWDigraph(omega)]
+
     def test_five_five_five_streams(self):
         omega = DimensionFunction.of(5, 5, 5)
         n = sum(1 for _ in enumerate_acyclic(omega))

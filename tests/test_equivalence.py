@@ -32,6 +32,7 @@ from wdag.equivalence import (
     sliced_orbits,
     standard_generators,
 )
+from wdag.formulas import count_classes_three_vertices_corrected
 from wdag.gf2 import GF2Vector
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
@@ -408,11 +409,12 @@ def acyclic_graphs(draw):
 
 # Every shape with m <= 3 and dimensions <= 3; at m = 4 the sorted shapes
 # with dimensions <= 2 and one unsorted one (class counts do not depend on
-# the order of the dimensions).
+# the order of the dimensions); five unit vertices.
 SLICE_SHAPES = [
     *(dims for m in range(1, 4) for dims in product(range(1, 4), repeat=m)),
     *combinations_with_replacement(range(1, 3), 4),
     (2, 1, 2, 1),
+    (1, 1, 1, 1, 1),
 ]
 
 
@@ -421,6 +423,16 @@ class TestSlicing:
     def test_sliced_count_equals_the_whole_space_sweep(self, dims):
         omega = DimensionFunction(dims)
         assert sum(1 for _ in sliced_orbits(omega)) == count_equivalence_classes(omega)
+
+    # Whole-space sweep results too slow to rerun here: (1,1,1,1,2) took
+    # 22 s and (1,)*6 12 minutes and 1.4 GB.
+    @pytest.mark.parametrize("dims, want", [((1, 1, 1, 1, 2), 991), ((1,) * 6, 1_111)])
+    def test_sliced_count_equals_the_pinned_sweep(self, dims, want):
+        assert sum(1 for _ in sliced_orbits(DimensionFunction(dims))) == want
+
+    def test_sliced_count_equals_the_corrected_three_vertex_form(self):
+        want = count_classes_three_vertices_corrected(5, 5, 5).total
+        assert sum(1 for _ in sliced_orbits(DimensionFunction.of(5, 5, 5))) == want == 74
 
     @pytest.mark.parametrize("m, want", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
     def test_posets_on_unit_dimensions(self, m, want):
@@ -434,6 +446,9 @@ class TestSlicing:
             for order in labelled
         }
         assert len(reachability_posets(DimensionFunction((1,) * m))) == len(classes) == want
+
+    def test_six_unit_points_give_the_unlabelled_posets(self):
+        assert len(reachability_posets(DimensionFunction((1,) * 6))) == 318
 
     def test_posets_carry_automorphisms_and_index(self):
         # (2,1,1): the out-star from the dimension-2 vertex to the two unit
