@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -538,6 +539,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader stopped, as `wdag enumerate | head` does: end as --limit
+        # would.  The unwritten output is sent to the null device, so the
+        # interpreter's final flush of stdout stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # an in-memory stream has no descriptor
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except json.JSONDecodeError as exc:
         print(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -103,23 +103,32 @@ class VectorMatrix:
         return cls(omega, rows)
 
 
-class _BitStrings(dict):
-    """Bit strings of one dimension, coordinate 1 leftmost, keyed by the
-    packed bits; each string is made on first use."""
+def _bit_string(dim: int, bits: int) -> str:
+    """Bit string of packed bits, coordinate 1 leftmost."""
+    return format(bits, f"0{dim}b")[::-1]
 
-    def __init__(self, dim: int):
+
+class _ByBits(dict):
+    """``make(dim, bits)`` for the weights of one dimension, keyed by the
+    packed bits; each value is made on first use, then shared."""
+
+    def __init__(self, make, dim: int):
         super().__init__()
+        self.make = make
         self.dim = dim
 
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = format(bits, f"0{self.dim}b")[::-1]
-        return text
+    def __missing__(self, bits: int):
+        value = self[bits] = self.make(self.dim, bits)
+        return value
 
 
 @lru_cache(maxsize=None)
-def _serial_tables(dims: tuple[int, ...]) -> tuple[_BitStrings, ...]:
-    """One bit-string table per key position: row i uses dimension dims[i]."""
-    tables = {d: _BitStrings(d) for d in set(dims)}
+def _position_tables(make, dims: tuple[int, ...]) -> tuple[_ByBits, ...]:
+    """One table per key position: row i uses dimension dims[i].  With
+    ``_bit_string`` they give ``serial`` and the JSON weights; with
+    ``GF2Vector`` they give ``edges``, each vector checked once and shared,
+    which is safe because vectors are frozen."""
+    tables = {d: _ByBits(make, d) for d in set(dims)}
     return tuple(tables[d] for d in dims for _ in dims)
 
 
@@ -174,10 +183,10 @@ class VWDigraph:
     @property
     def edges(self) -> tuple[tuple[int, int, GF2Vector], ...]:
         """Edges (i, j, weight), sorted by (i, j)."""
-        dims = self.omega.dims
-        m = len(dims)
+        m = self.omega.m
+        vectors = _position_tables(GF2Vector, self.omega.dims)
         return tuple(
-            (p // m + 1, p % m + 1, GF2Vector(dims[p // m], bits))
+            (p // m + 1, p % m + 1, vectors[p][bits])
             for p, bits in enumerate(self.key)
             if bits
         )
@@ -191,9 +200,8 @@ class VWDigraph:
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
         if self._serial is None:
-            self._serial = "".join(
-                map(_BitStrings.__getitem__, _serial_tables(self.omega.dims), self.key)
-            )
+            strings = _position_tables(_bit_string, self.omega.dims)
+            self._serial = "".join(map(_ByBits.__getitem__, strings, self.key))
         return self._serial
 
     def __eq__(self, other: object) -> bool:
@@ -375,7 +383,7 @@ def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
         d = dims[i]
         free = [j for j in range(len(dims)) if not blocked >> j & 1]
         if free and d not in weights:
-            order = sorted(range(1, 1 << d), key=_BitStrings(d).__getitem__)
+            order = sorted(range(1, 1 << d), key=partial(_bit_string, d))
             weights[d] = [GF2Vector(d, bits) for bits in order]
         choices = [[(0, ())] for _ in dims]
         for j in free:
@@ -500,7 +508,7 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
 
 def graph_to_json(g: VWDigraph) -> dict:
     m = g.omega.m
-    strings = _serial_tables(g.omega.dims)
+    strings = _position_tables(_bit_string, g.omega.dims)
     return {
         "omega": list(g.omega.dims),
         "edges": [
@@ -531,5 +539,27 @@ def graph_from_json(doc: dict) -> VWDigraph:
     return VWDigraph(omega, weights)
 
 
+@lru_cache(maxsize=None)
+def _json_openings(dims: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
+    """The start of a graph line, and the start of the edge object at each
+    key position, up to the opening quote of its weight."""
+    m = len(dims)
+    head = f'{{"omega": {json.dumps(list(dims))}, "edges": ['
+    return head, tuple(
+        f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
+    )
+
+
 def dumps_graph(g: VWDigraph) -> str:
-    return json.dumps(graph_to_json(g), separators=(", ", ": "))
+    """One JSON line, rendered from the key; byte-identical to
+    ``json.dumps(graph_to_json(g), separators=(", ", ": "))``."""
+    dims = g.omega.dims
+    head, openings = _json_openings(dims)
+    strings = _position_tables(_bit_string, dims)
+    return (
+        head
+        + ", ".join(
+            [o + s[bits] + '"}' for o, s, bits in zip(openings, strings, g.key) if bits]
+        )
+        + "]}"
+    )

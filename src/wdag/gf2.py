@@ -123,8 +123,11 @@ class GF2Matrix:
 
 def gf2_det(m: GF2Matrix) -> int:
     """Determinant over GF(2) by Gaussian elimination on bit-packed rows."""
-    rows = list(m.rows)
-    n = m.n
+    return _det(list(m.rows), m.n)
+
+
+def _det(rows: list[int], n: int) -> int:
+    """gf2_det of the n bit-packed rows, eliminated in place."""
     for col in range(n):
         mask = 1 << col
         pivot = next((r for r in range(col, n) if rows[r] & mask), None)
@@ -140,23 +143,21 @@ def gf2_det(m: GF2Matrix) -> int:
 def all_principal_minors_one(m: GF2Matrix) -> bool:
     """True iff every nonempty principal minor of m equals 1."""
     n = m.n
+    rows = m.rows
     # 1x1 minors first: cheap rejection for almost all inputs.
     for i in range(n):
-        if not (m.rows[i] >> i) & 1:
+        if not (rows[i] >> i) & 1:
             return False
     indices = list(range(n))
     for subset_mask in range(1, 1 << n):
         chosen = [i for i in indices if subset_mask >> i & 1]
         if len(chosen) < 2:
             continue
-        sub = GF2Matrix(
-            len(chosen),
-            tuple(
-                sum(((m.rows[i] >> j) & 1) << col for col, j in enumerate(chosen))
-                for i in chosen
-            ),
-        )
-        if gf2_det(sub) != 1:
+        sub = [
+            sum(((rows[i] >> j) & 1) << col for col, j in enumerate(chosen))
+            for i in chosen
+        ]
+        if _det(sub, len(chosen)) != 1:
             return False
     return True
 
@@ -167,13 +168,12 @@ def specialize(a: "VectorMatrix", ks: Sequence[int]) -> GF2Matrix:
     if len(ks) != m:
         raise ValueError(f"expected {m} coordinate indices, got {len(ks)}")
     rows = []
-    for i in range(1, m + 1):
-        k = ks[i - 1]
+    for i, (row, k) in enumerate(zip(a.rows, ks), start=1):
         if not 1 <= k <= a.omega.dim(i):
             raise ValueError(f"coordinate {k} outside 1..{a.omega.dim(i)} in row {i}")
+        shift = k - 1
         bits = 0
-        for j in range(1, m + 1):
-            if a.entry(i, j).bit(k):
-                bits |= 1 << (j - 1)
+        for j, w in enumerate(row):
+            bits |= (w.bits >> shift & 1) << j
         rows.append(bits)
     return GF2Matrix(m, tuple(rows))

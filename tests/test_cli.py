@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wdag import cli, formulas
 from wdag.cli import main
+from wdag.digraph import DimensionFunction, enumerate_acyclic, graph_to_json
 
 FIG_GRAPH = {
     "omega": [2, 3, 3, 3],
@@ -118,6 +123,28 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--limit" in captured.err
+
+    def test_lines_equal_the_reference_rendering(self, capsys):
+        assert main(["enumerate", "--omega", "1,1,2"]) == 0
+        assert capsys.readouterr().out == "".join(
+            json.dumps(graph_to_json(g), separators=(", ", ": ")) + "\n"
+            for g in enumerate_acyclic(DimensionFunction.of(1, 1, 2))
+        )
+
+    def test_closed_pipe_ends_quietly(self):
+        # `wdag enumerate | head -1`: the reader closes the pipe after one line.
+        src = Path(cli.__file__).resolve().parents[1]
+        with subprocess.Popen(
+            [sys.executable, "-m", "wdag.cli", "enumerate", "--omega", "2,2,2,2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b'{"omega": [2, 2, 2, 2], "edges": []}\n'
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 class TestApply:

@@ -127,6 +127,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="duplicate"):
             VWDigraph(omega, [(1, 2, ten), (1, 2, ten)])
 
+    def test_edges_are_the_key_weights(self):
+        omega = DimensionFunction.of(1, 2, 3)
+        for g in enumerate_acyclic(omega):
+            assert g.edges == tuple(
+                (i, j, GF2Vector(omega.dim(i), g.key[(i - 1) * 3 + j - 1]))
+                for i in range(1, 4)
+                for j in range(1, 4)
+                if g.key[(i - 1) * 3 + j - 1]
+            )
+
     def test_reduced_matrix_diagonal(self, fig_graph):
         r = reduced_matrix(fig_graph)
         for v in range(1, 5):
@@ -377,7 +387,32 @@ class TestVanishingSums:
             cycle_sum(m, (0,), 2)
 
 
+def reference_line(g: VWDigraph) -> str:
+    return json.dumps(graph_to_json(g), separators=(", ", ": "))
+
+
 class TestJson:
+    @pytest.mark.parametrize("dims", [(2, 3), (1, 1, 2), (2, 2, 2)])
+    def test_rendered_lines_equal_the_reference(self, dims):
+        for g in enumerate_acyclic(DimensionFunction(dims)):
+            assert dumps_graph(g) == reference_line(g)
+
+    def test_rendered_line_edge_cases(self):
+        eleven = DimensionFunction((1,) * 10 + (2,))
+        one = GF2Vector.all_ones(1)
+        labels = VWDigraph(
+            eleven,
+            [(1, 11, one), (9, 10, one), (10, 11, one), (11, 2, GF2Vector.from_string("01"))],
+        )
+        wide = VWDigraph(
+            DimensionFunction.of(63, 1),
+            [(1, 2, GF2Vector(63, 1 << 62 | 1)), (2, 1, one)],
+        )
+        for g in (labels, VWDigraph(eleven), wide):
+            assert dumps_graph(g) == reference_line(g)
+        assert '{"from": 10, "to": 11, "weight": "1"}' in dumps_graph(labels)
+        assert dumps_graph(VWDigraph(eleven)).endswith('"edges": []}')
+
     def test_round_trip(self, fig_graph):
         doc = graph_to_json(fig_graph)
         assert doc["omega"] == [2, 3, 3, 3]

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -83,7 +84,32 @@ class TestDetInverse:
         assert invertible == group_order
 
 
+def reference_minors_one(m: GF2Matrix) -> bool:
+    """Each principal submatrix built as a GF2Matrix and passed to gf2_det."""
+    return all(
+        gf2_det(GF2Matrix.from_rows([[m.entry(i, j) for j in chosen] for i in chosen])) == 1
+        for size in range(1, m.n + 1)
+        for chosen in combinations(range(1, m.n + 1), size)
+    )
+
+
 class TestPrincipalMinors:
+    def test_every_three_by_three_matches_the_reference(self):
+        for rows in product(range(8), repeat=3):
+            m = GF2Matrix(3, rows)
+            assert all_principal_minors_one(m) == reference_minors_one(m)
+
+    def test_random_five_by_five_match_the_reference(self):
+        # A unit diagonal, so the check gets past the 1x1 minors.
+        rng = random.Random(2000)
+        accepted = 0
+        for _ in range(2000):
+            m = GF2Matrix(5, tuple(rng.randrange(32) | 1 << i for i in range(5)))
+            expected = reference_minors_one(m)
+            assert all_principal_minors_one(m) == expected
+            accepted += expected
+        assert 0 < accepted < 2000
+
     def test_identity(self):
         assert all_principal_minors_one(GF2Matrix.identity(4))
 
