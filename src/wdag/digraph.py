@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, specialize
+from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string, specialize
 
 # The most items an exhaustive path here may visit, read at call time:
 # graphs to enumerate or list, or (V, S) pairs for count_acyclic.
@@ -103,11 +103,6 @@ class VectorMatrix:
         return cls(omega, rows)
 
 
-def _bit_string(dim: int, bits: int) -> str:
-    """Bit string of packed bits, coordinate 1 leftmost."""
-    return format(bits, f"0{dim}b")[::-1]
-
-
 class _ByBits(dict):
     """``make(dim, bits)`` for the weights of one dimension, keyed by the
     packed bits; each value is made on first use, then shared."""
@@ -125,7 +120,7 @@ class _ByBits(dict):
 @lru_cache(maxsize=None)
 def _position_tables(make, dims: tuple[int, ...]) -> tuple[_ByBits, ...]:
     """One table per key position: row i uses dimension dims[i].  With
-    ``_bit_string`` they give ``serial`` and the JSON weights; with
+    ``bit_string`` they give ``serial`` and the JSON weights; with
     ``GF2Vector`` they give ``edges``, each vector checked once and shared,
     which is safe because vectors are frozen."""
     tables = {d: _ByBits(make, d) for d in set(dims)}
@@ -200,7 +195,7 @@ class VWDigraph:
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
         if self._serial is None:
-            strings = _position_tables(_bit_string, self.omega.dims)
+            strings = _position_tables(bit_string, self.omega.dims)
             self._serial = "".join(map(_ByBits.__getitem__, strings, self.key))
         return self._serial
 
@@ -383,7 +378,7 @@ def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
         d = dims[i]
         free = [j for j in range(len(dims)) if not blocked >> j & 1]
         if free and d not in weights:
-            order = sorted(range(1, 1 << d), key=partial(_bit_string, d))
+            order = sorted(range(1, 1 << d), key=partial(bit_string, d))
             weights[d] = [GF2Vector(d, bits) for bits in order]
         choices = [[(0, ())] for _ in dims]
         for j in free:
@@ -508,7 +503,7 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
 
 def graph_to_json(g: VWDigraph) -> dict:
     m = g.omega.m
-    strings = _position_tables(_bit_string, g.omega.dims)
+    strings = _position_tables(bit_string, g.omega.dims)
     return {
         "omega": list(g.omega.dims),
         "edges": [
@@ -555,7 +550,7 @@ def dumps_graph(g: VWDigraph) -> str:
     ``json.dumps(graph_to_json(g), separators=(", ", ": "))``."""
     dims = g.omega.dims
     head, openings = _json_openings(dims)
-    strings = _position_tables(_bit_string, dims)
+    strings = _position_tables(bit_string, dims)
     return (
         head
         + ", ".join(

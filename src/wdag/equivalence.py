@@ -18,7 +18,7 @@ from functools import partial
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import digraph
 from .digraph import (
@@ -362,19 +362,32 @@ class Poset:
             yield tuple(key)
 
 
-def _natural_posets(m: int) -> list[tuple[int, ...]]:
+def _natural_posets(m: int, layouts: int) -> Iterable[tuple[int, ...]]:
     """Every naturally labelled poset on points 0..m-1 once, as the tuple
     of bitmasks of the points below each point.  Point i is added as a new
-    maximal point over each down-set of points 0..i-1."""
+    maximal point over each down-set of points 0..i-1.  The levels before
+    the last are grown and held at the call; the last is streamed.
+
+    Each is laid out `layouts` times, and a poset on i points has at least
+    i+1 down-sets (the empty one and the one below each point), so level i
+    bounds the candidates from below by len(level) * m!/i! * layouts.
+    Refuses on that bound against digraph.ITEM_BUDGET as each level is
+    reached."""
+    budget = digraph.ITEM_BUDGET
     posets: list[tuple[int, ...]] = [()]
     for i in range(m):
-        posets = [
+        least = len(posets) * factorial(m) // factorial(i) * layouts
+        if least > budget:
+            raise BudgetError("poset generation", "at least {} candidate posets", least, budget)
+        grown = (
             below + (down,)
             for below in posets
             for down in range(1 << i)
             if all(below[x] & ~down == 0 for x in range(i) if down >> x & 1)
-        ]
-    return posets
+        )
+        if i == m - 1:
+            return grown
+        posets = list(grown)
 
 
 def _relabellings(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -394,15 +407,26 @@ def _image(pairs: list[tuple[int, int]], perm: tuple[int, ...], m: int) -> int:
 
 def reachability_posets(omega: DimensionFunction) -> list[Poset]:
     """One poset on the vertices of omega per class under S_omega, each the
-    least image of its class as a bitmask of positions.  Every naturally
-    labelled poset is laid out once for each arrangement of the
-    dimensions on its points: these layouts are the candidates.  A
-    candidate not met before starts a class; of its images under S_omega
-    the least is kept and those that are candidates are remembered."""
+    least image of its class as a bitmask of positions, in that order.
+    Every naturally labelled poset is laid out once for each arrangement
+    of the dimensions on its points: these layouts are the candidates.  A
+    candidate not met before starts a class, read off its images under
+    S_omega: the least, the relabellings onto it, and the candidates among
+    them, which are remembered.
+
+    Refuses when the items it would list exceed digraph.ITEM_BUDGET: S_omega
+    and the layouts, by their exact sizes; the naturally labelled posets,
+    as _natural_posets says; and the candidates and images scanned."""
     dims = omega.dims
     m = len(dims)
+    budget = digraph.ITEM_BUDGET
+    relabellings = prod(map(factorial, Counter(dims).values()))
+    arrangements = factorial(m) // relabellings
+    listed = relabellings + arrangements
+    if listed > budget:
+        raise BudgetError("poset generation", "{} relabellings and layouts", listed, budget)
+    natural = _natural_posets(m, arrangements)
     group = _relabellings(dims)
-    natural = _natural_posets(m)
     layouts = []
     for arrangement in sorted(set(permutations(dims))):
         # Point i becomes the next unused vertex of dimension arrangement[i].
@@ -413,41 +437,40 @@ def reachability_posets(omega: DimensionFunction) -> list[Poset]:
         sum(1 << (vertex[x] * m + vertex[i]) for i in range(m) for x in range(i))
         for vertex in layouts
     ]
-    codes, met = set(), set()
-    for vertex in layouts:
-        for below in natural:
+    found, met, scanned = {}, set(), 0
+    for below in natural:
+        for vertex in layouts:
             pairs = [
                 (vertex[x], vertex[i]) for i in range(m) for x in range(i) if below[i] >> x & 1
             ]
-            if _image(pairs, group[0], m) in met:
+            known = _image(pairs, group[0], m) in met
+            scanned += 1 if known else 1 + relabellings
+            if scanned > budget:
+                raise BudgetError(
+                    "poset generation", "at least {} candidates and images", scanned, budget
+                )
+            if known:
                 continue
-            images = {_image(pairs, perm, m) for perm in group}
-            codes.add(min(images))
-            met.update(c for c in images if any(not c & ~f for f in forward))
-    posets = []
-    for code in sorted(codes):
-        pairs = [divmod(p, m) for p in range(m * m) if code >> p & 1]
-        related = set(pairs)
-        covers = frozenset(
-            (a + 1, b + 1)
-            for a, b in pairs
-            if not any((a, c) in related and (c, b) in related for c in range(m))
-        )
-        automorphisms = tuple(
-            Permutation(tuple(v + 1 for v in perm))
-            for perm in group
-            if _image(pairs, perm, m) == code
-        )
-        posets.append(
-            Poset(
-                omega,
-                tuple((a + 1, b + 1) for a, b in pairs),
-                covers,
-                automorphisms,
-                len(group) // len(automorphisms),
+            images = [_image(pairs, perm, m) for perm in group]
+            least = min(images)
+            onto = [perm for perm, code in zip(group, images) if code == least]
+            met.update(c for c in set(images) if any(not c & ~f for f in forward))
+            # The automorphisms of the least image are p . g^-1 for p in onto.
+            g = onto[0]
+            inverse = sorted(range(m), key=g.__getitem__)
+            relations = sorted((g[a] + 1, g[b] + 1) for a, b in pairs)
+            related = set(relations)
+            covers = frozenset(
+                (a, b)
+                for a, b in relations
+                if not any((a, c) in related and (c, b) in related for c in range(1, m + 1))
             )
-        )
-    return posets
+            automorphisms = tuple(
+                map(Permutation, sorted(tuple(p[x] + 1 for x in inverse) for p in onto))
+            )
+            index = relabellings // len(onto)
+            found[least] = Poset(omega, tuple(relations), covers, automorphisms, index)
+    return [found[code] for code in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -470,8 +493,9 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     [S_omega : Aut_omega(P)].  Two checks come free and raise
     ArithmeticError on a failure: each orbit size divides the order of the
     group, prod (d_i+1)! times prod (multiplicity)!, and the sizes sum to
-    count_acyclic(omega), after the last report.  Refuses on the exact
-    number of slice graphs against digraph.ITEM_BUDGET, at the first next().
+    count_acyclic(omega), after the last report.  Refuses, at the first
+    next(), as reachability_posets does, then on the exact number of slice
+    graphs against digraph.ITEM_BUDGET.
     """
     posets = reachability_posets(omega)
     visits, budget = sum(p.slice_size for p in posets), digraph.ITEM_BUDGET

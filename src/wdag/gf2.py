@@ -38,8 +38,8 @@ class GF2Vector:
         return self.bits == 0
 
     def to_string(self) -> str:
-        """Bit string with coordinate 1 leftmost, e.g. (1,0,1) -> "101"."""
-        return "".join(str(self.bit(k)) for k in range(1, self.dim + 1))
+        """The bits as ``bit_string`` writes them, coordinate 1 leftmost."""
+        return bit_string(self.dim, self.bits)
 
     @classmethod
     def from_string(cls, text: str) -> "GF2Vector":
@@ -61,6 +61,11 @@ class GF2Vector:
 
     def __repr__(self) -> str:
         return f"GF2Vector({self.to_string()!r})"
+
+
+def bit_string(dim: int, bits: int) -> str:
+    """Bit string of packed bits with coordinate 1 leftmost, e.g. (1,0,1) -> "101"."""
+    return format(bits, f"0{dim}b")[::-1]
 
 
 def gf2_permute(sigma: Permutation, v: GF2Vector) -> GF2Vector:

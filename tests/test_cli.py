@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wdag import cli, formulas
+from wdag import cli, equivalence, formulas
 from wdag.cli import main
 from wdag.digraph import DimensionFunction, enumerate_acyclic, graph_to_json
 
@@ -19,6 +19,10 @@ FIG_GRAPH = {
         {"from": 4, "to": 3, "weight": "101"},
     ],
 }
+
+
+def whole_space_sweep(omega):
+    raise AssertionError("the CLI counts classes by slices, not by the whole-space sweep")
 
 
 @pytest.fixture
@@ -86,6 +90,21 @@ class TestCount:
         out, err = capsys.readouterr()
         assert out == "48\n"
         assert "source: formula" in err
+
+    def test_weak_brute_counts_by_slices(self, capsys, monkeypatch):
+        monkeypatch.setattr(equivalence, "orbits", whole_space_sweep)
+        assert main(["count", "weak", "--omega", "1,1,1,1,1"]) == 0
+        assert capsys.readouterr() == ("109\n", "source: brute\n")
+
+    def test_weak_refuses_before_growing_posets(self, capsys):
+        # 8! layouts of the distinct dimensions times at least 8! naturally
+        # labelled posets on eight points.
+        assert main(["count", "weak", "--omega", "1,2,3,4,5,6,7,8"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "poset generation refused: at least 1625702400 candidate posets"
+            " exceed budget 100000000\n",
+        )
 
     def test_dj_seven_unit_vertices(self, capsys):
         assert main(["count", "dj", "--omega", "1,1,1,1,1,1,1"]) == 0
@@ -297,6 +316,13 @@ class TestVerify:
     def test_burnside_suite(self, capsys):
         assert main(["verify", "--suite", "burnside", "--max-n", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_burnside_suite_counts_by_slices(self, capsys, monkeypatch):
+        monkeypatch.setattr(equivalence, "orbits", whole_space_sweep)
+        assert main(["verify", "--suite", "burnside", "--max-n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "ok   burnside: two-vertex classes (2,2)" in out
+        assert "FAIL" not in out
 
     def test_classes_suite(self, capsys):
         assert main(["verify", "--suite", "classes", "--max-n", "2"]) == 0

@@ -407,6 +407,31 @@ def acyclic_graphs(draw):
     return VWDigraph(DimensionFunction(tuple(dims)), weights)
 
 
+def dimension_preserving(dims):
+    """S_omega by a full scan of the vertex permutations, in lexicographic
+    order, 1-indexed images."""
+    m = len(dims)
+    return [
+        p
+        for p in permutations(range(1, m + 1))
+        if all(dims[p[i] - 1] == dims[i] for i in range(m))
+    ]
+
+
+def poset_classes(dims):
+    """The number of distinct closures of all DAGs on the vertices of dims,
+    up to dimension-preserving relabelling."""
+    m = len(dims)
+    group = dimension_preserving(dims)
+    labelled = {closure(edges, m) for edges in dag_census(m)}
+    return len(
+        {
+            min(tuple(sorted((p[a - 1], p[b - 1]) for a, b in order)) for p in group)
+            for order in labelled
+        }
+    )
+
+
 # Every shape with m <= 3 and dimensions <= 3; at m = 4 the sorted shapes
 # with dimensions <= 2 and one unsorted one (class counts do not depend on
 # the order of the dimensions); five unit vertices.
@@ -436,16 +461,23 @@ class TestSlicing:
 
     @pytest.mark.parametrize("m, want", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
     def test_posets_on_unit_dimensions(self, m, want):
-        # The distinct closures of all DAGs on m vertices, up to relabelling.
-        labelled = {closure(edges, m) for edges in dag_census(m)}
-        classes = {
-            min(
-                tuple(sorted((p[a - 1], p[b - 1]) for a, b in order))
-                for p in permutations(range(1, m + 1))
-            )
-            for order in labelled
-        }
-        assert len(reachability_posets(DimensionFunction((1,) * m))) == len(classes) == want
+        dims = (1,) * m
+        assert len(reachability_posets(DimensionFunction(dims))) == poset_classes(dims) == want
+
+    @pytest.mark.parametrize(
+        "dims, want", [((2, 1, 1), 11), ((1, 2, 2), 11), ((1, 1, 2, 2), 66), ((2, 1, 2, 1), 66)]
+    )
+    def test_posets_on_mixed_dimensions(self, dims, want):
+        assert len(reachability_posets(DimensionFunction(dims))) == poset_classes(dims) == want
+
+    @pytest.mark.parametrize("dims", [(1,) * 5, (3, 1, 1, 2, 1), (1, 1, 2, 2)])
+    def test_automorphisms_are_a_full_scan(self, dims):
+        group = dimension_preserving(dims)
+        for poset in reachability_posets(DimensionFunction(dims)):
+            related = set(poset.relations)
+            fixing = [p for p in group if {(p[a - 1], p[b - 1]) for a, b in related} == related]
+            assert [mu.images for mu in poset.automorphisms] == fixing
+            assert poset.index * len(fixing) == len(group)
 
     def test_six_unit_points_give_the_unlabelled_posets(self):
         assert len(reachability_posets(DimensionFunction((1,) * 6))) == 318
@@ -488,3 +520,40 @@ class TestSlicing:
             next(sliced_orbits(omega))
         assert (err.value.size, err.value.budget) == (498, 497)
         assert str(err.value) == "slicing refused: 498 slice graphs exceed budget 497"
+
+    def test_poset_generation_refuses_on_relabellings_and_layouts(self, monkeypatch):
+        # (1,1,1,1): 24 relabellings and one layout.
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 24)
+        with pytest.raises(BudgetError) as err:
+            reachability_posets(DimensionFunction.of(1, 1, 1, 1))
+        assert (err.value.size, err.value.budget) == (25, 24)
+        assert str(err.value) == (
+            "poset generation refused: 25 relabellings and layouts exceed budget 24"
+        )
+
+    def test_poset_generation_refuses_while_growing(self, monkeypatch):
+        # (1,1,2,2) has 4 relabellings and 6 layouts.  The 1, 1, 2 and 7
+        # naturally labelled posets on 0..3 points bound the candidates by
+        # 24*6, 24*6, 2*12*6 = 144 and 7*4*6 = 168: each has at least one
+        # more down-set than points.
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 150)
+        with pytest.raises(BudgetError) as err:
+            reachability_posets(DimensionFunction.of(1, 1, 2, 2))
+        assert (err.value.size, err.value.budget) == (168, 150)
+        assert str(err.value) == (
+            "poset generation refused: at least 168 candidate posets exceed budget 150"
+        )
+
+    def test_poset_generation_refuses_while_scanning(self, monkeypatch):
+        # (1,1): the antichain costs one candidate and its two images (3),
+        # the chain 1 -> 2 as many again (6).
+        omega = DimensionFunction.of(1, 1)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 6)
+        assert len(reachability_posets(omega)) == 2
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 5)
+        with pytest.raises(BudgetError) as err:
+            reachability_posets(omega)
+        assert (err.value.size, err.value.budget) == (6, 5)
+        assert str(err.value) == (
+            "poset generation refused: at least 6 candidates and images exceed budget 5"
+        )
