@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, permutations, product
+from functools import partial, reduce
+from itertools import combinations, compress, permutations, product
 from math import factorial, prod
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from operator import and_, attrgetter
+from typing import Callable, Iterator
 
 from . import digraph
 from .digraph import (
@@ -362,34 +362,6 @@ class Poset:
             yield tuple(key)
 
 
-def _natural_posets(m: int, layouts: int) -> Iterable[tuple[int, ...]]:
-    """Every naturally labelled poset on points 0..m-1 once, as the tuple
-    of bitmasks of the points below each point.  Point i is added as a new
-    maximal point over each down-set of points 0..i-1.  The levels before
-    the last are grown and held at the call; the last is streamed.
-
-    Each is laid out `layouts` times, and a poset on i points has at least
-    i+1 down-sets (the empty one and the one below each point), so level i
-    bounds the candidates from below by len(level) * m!/i! * layouts.
-    Refuses on that bound against digraph.ITEM_BUDGET as each level is
-    reached."""
-    budget = digraph.ITEM_BUDGET
-    posets: list[tuple[int, ...]] = [()]
-    for i in range(m):
-        least = len(posets) * factorial(m) // factorial(i) * layouts
-        if least > budget:
-            raise BudgetError("poset generation", "at least {} candidate posets", least, budget)
-        grown = (
-            below + (down,)
-            for below in posets
-            for down in range(1 << i)
-            if all(below[x] & ~down == 0 for x in range(i) if down >> x & 1)
-        )
-        if i == m - 1:
-            return grown
-        posets = list(grown)
-
-
 def _relabellings(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
     """S_omega: the vertex permutations, 0-indexed images, that preserve
     every dimension, identity first."""
@@ -400,77 +372,96 @@ def _relabellings(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _image(pairs: list[tuple[int, int]], perm: tuple[int, ...], m: int) -> int:
-    """The relation set {(perm a, perm b)} as a bitmask of positions a*m + b."""
-    return sum(1 << (perm[a] * m + perm[b]) for a, b in pairs)
+def _places(key: int, automorphisms: tuple[tuple[int, ...], ...], i: int, m: int) -> Iterator[int]:
+    """The posets on 0..i grown from the poset `key` on 0..i-1, as bitmasks
+    of positions a*m + b: vertex i goes above a down-set D and below an
+    up-set E, every point of D below every point of E.  One place (D, E) per
+    orbit of the automorphisms."""
+    points = range(i)
+    below = [sum(1 << a for a in points if key >> (a * m + x) & 1) for x in points]
+    above = [sum(1 << b for b in points if key >> (x * m + b) & 1) for x in points]
+
+    def closed(step: list[int]) -> list[int]:
+        return [s for s in range(1 << i) if all(not step[x] & ~s for x in points if s >> x & 1)]
+
+    def move(s: int, perm: tuple[int, ...]) -> int:
+        return sum(1 << image for x, image in enumerate(perm) if s >> x & 1)
+
+    ups, seen = closed(above), set()
+    for down in closed(below):
+        common = reduce(and_, (above[x] for x in points if down >> x & 1), (1 << i) - 1)
+        for up in ups:
+            if up & ~common or (down, up) in seen:
+                continue
+            seen.update((move(down, p), move(up, p)) for p in automorphisms)
+            grown = sum(1 << (x * m + i) for x in points if down >> x & 1)
+            yield key | grown | sum(1 << (i * m + x) for x in points if up >> x & 1)
 
 
 def reachability_posets(omega: DimensionFunction) -> list[Poset]:
     """One poset on the vertices of omega per class under S_omega, each the
-    least image of its class as a bitmask of positions, in that order.
-    Every naturally labelled poset is laid out once for each arrangement
-    of the dimensions on its points: these layouts are the candidates.  A
-    candidate not met before starts a class, read off its images under
-    S_omega: the least, the relabellings onto it, and the candidates among
-    them, which are remembered.
+    least image of its class as a bitmask of positions a*m + b, in that
+    order.  Posets grow one vertex at a time.  Level i holds the classes of
+    posets on 0..i-1 under the prefix group, the dimension-preserving
+    relabellings of 0..i-1 (S_omega at i = m), keyed by least image, with
+    their automorphisms.  Each class grows at its places into candidates
+    for level i+1; deleting vertex i from a poset on 0..i leaves one on
+    0..i-1, so every class is met.  A candidate not met before starts a
+    class, read off its images: the least, the relabellings onto it, and
+    the images that delete vertex i to a key of level i, remembered.
 
-    Refuses when the items it would list exceed digraph.ITEM_BUDGET: S_omega
-    and the layouts, by their exact sizes; the naturally labelled posets,
-    as _natural_posets says; and the candidates and images scanned."""
+    Refuses past digraph.ITEM_BUDGET: on |S_omega|, first; before each
+    level's scan, on C + ceil(C/k) * |prefix group| for C candidates, since
+    a class grows from at most k places, one per vertex of 0..i with vertex
+    i's dimension; and on the candidates and images scanned."""
     dims = omega.dims
     m = len(dims)
-    budget = digraph.ITEM_BUDGET
+    budget, refuse = digraph.ITEM_BUDGET, partial(BudgetError, "poset generation")
     relabellings = prod(map(factorial, Counter(dims).values()))
-    arrangements = factorial(m) // relabellings
-    listed = relabellings + arrangements
-    if listed > budget:
-        raise BudgetError("poset generation", "{} relabellings and layouts", listed, budget)
-    natural = _natural_posets(m, arrangements)
-    group = _relabellings(dims)
-    layouts = []
-    for arrangement in sorted(set(permutations(dims))):
-        # Point i becomes the next unused vertex of dimension arrangement[i].
-        free = {d: [v for v, dv in enumerate(dims) if dv == d] for d in set(dims)}
-        layouts.append([free[d].pop(0) for d in arrangement])
-    # A relation set is a candidate when it runs forward in some layout.
-    forward = [
-        sum(1 << (vertex[x] * m + vertex[i]) for i in range(m) for x in range(i))
-        for vertex in layouts
-    ]
-    found, met, scanned = {}, set(), 0
-    for below in natural:
-        for vertex in layouts:
-            pairs = [
-                (vertex[x], vertex[i]) for i in range(m) for x in range(i) if below[i] >> x & 1
-            ]
-            known = _image(pairs, group[0], m) in met
-            scanned += 1 if known else 1 + relabellings
+    if relabellings > budget:
+        raise refuse("{} relabellings", relabellings, budget)
+    bit = [1 << p for p in range(m * m)]
+    level: dict[int, tuple[tuple[int, ...], ...]] = {0: ((),)}
+    scanned = 0
+    for i in range(m):
+        candidates = [code for key, autos in level.items() for code in _places(key, autos, i, m)]
+        order = prod(map(factorial, Counter(dims[: i + 1]).values()))
+        k = dims[: i + 1].count(dims[i])
+        bound = len(candidates) + -(-len(candidates) // k) * order
+        if bound > budget:
+            raise refuse(f"at least {{}} candidates and images on {i + 1} points", bound, budget)
+        group = _relabellings(dims[: i + 1])
+        pairs = permutations(range(i + 1), 2)
+        columns = {a * m + b: [bit[p[a] * m + p[b]] for p in group] for a, b in pairs}
+        zero = [0] * order
+        keep = sum(bit[a * m + b] for a in range(i) for b in range(i))
+        grown, met = {}, set()
+        for code in candidates:
+            known = code in met
+            scanned += 1 if known else 1 + order
             if scanned > budget:
-                raise BudgetError(
-                    "poset generation", "at least {} candidates and images", scanned, budget
-                )
+                raise refuse("at least {} candidates and images", scanned, budget)
             if known:
                 continue
-            images = [_image(pairs, perm, m) for perm in group]
+            images = list(map(sum, zip(zero, *(columns[p] for p in columns if code >> p & 1))))
             least = min(images)
-            onto = [perm for perm, code in zip(group, images) if code == least]
-            met.update(c for c in set(images) if any(not c & ~f for f in forward))
+            onto = list(compress(group, map(least.__eq__, images)))
+            # Remember the images that delete vertex i to a key of level i.
+            met.update(compress(images, map(level.__contains__, map(keep.__and__, images))))
             # The automorphisms of the least image are p . g^-1 for p in onto.
             g = onto[0]
-            inverse = sorted(range(m), key=g.__getitem__)
-            relations = sorted((g[a] + 1, g[b] + 1) for a, b in pairs)
-            related = set(relations)
-            covers = frozenset(
-                (a, b)
-                for a, b in relations
-                if not any((a, c) in related and (c, b) in related for c in range(1, m + 1))
-            )
-            automorphisms = tuple(
-                map(Permutation, sorted(tuple(p[x] + 1 for x in inverse) for p in onto))
-            )
-            index = relabellings // len(onto)
-            found[least] = Poset(omega, tuple(relations), covers, automorphisms, index)
-    return [found[code] for code in sorted(found)]
+            inverse = sorted(range(i + 1), key=g.__getitem__)
+            grown[least] = tuple(sorted(tuple(p[x] for x in inverse) for p in onto))
+        level = grown
+    posets = []
+    for key in sorted(level):
+        relations = [(a + 1, b + 1) for a in range(m) for b in range(m) if key >> (a * m + b) & 1]
+        composite = {(a, c) for a, b in relations for b2, c in relations if b == b2}
+        covers = frozenset((a, b) for a, b in relations if (a, b) not in composite)
+        automorphisms = tuple(Permutation(tuple(x + 1 for x in p)) for p in level[key])
+        index = relabellings // len(automorphisms)
+        posets.append(Poset(omega, tuple(relations), covers, automorphisms, index))
+    return posets
 
 
 @dataclass(frozen=True)
@@ -493,18 +484,27 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     [S_omega : Aut_omega(P)].  Two checks come free and raise
     ArithmeticError on a failure: each orbit size divides the order of the
     group, prod (d_i+1)! times prod (multiplicity)!, and the sizes sum to
-    count_acyclic(omega), after the last report.  Refuses, at the first
-    next(), as reachability_posets does, then on the exact number of slice
-    graphs against digraph.ITEM_BUDGET.
+    count_acyclic(omega), after the last report.
+
+    Refuses at the first next(): each slice graph stands for at most
+    |S_omega| graphs, so on count_acyclic(omega) / |S_omega| slice graphs,
+    first with the graphs forward in one vertex order for count_acyclic
+    (which takes 3^m - 2^m steps); then as reachability_posets does; then
+    on the exact number of slice graphs, all against digraph.ITEM_BUDGET.
     """
+    dims, budget = omega.dims, digraph.ITEM_BUDGET
+    relabellings = prod(map(factorial, Counter(dims).values()))
+    least = -(-(1 << sum(a * d for a, d in enumerate(sorted(dims)))) // relabellings)
+    if least <= budget:
+        acyclic = count_acyclic(omega)
+        least = -(-acyclic // relabellings)
+    if least > budget:
+        raise BudgetError("slicing", "at least {} slice graphs", least, budget)
     posets = reachability_posets(omega)
-    visits, budget = sum(p.slice_size for p in posets), digraph.ITEM_BUDGET
+    visits = sum(p.slice_size for p in posets)
     if visits > budget:
         raise BudgetError("slicing", "{} slice graphs", visits, budget)
-    dims = omega.dims
-    group = prod(factorial(d + 1) for d in dims) * prod(
-        factorial(k) for k in Counter(dims).values()
-    )
+    group = prod(factorial(d + 1) for d in dims) * relabellings
     facet = facet_generators(omega)
     total = 0
     for poset in posets:
@@ -523,7 +523,6 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
                 )
             total += size
             yield SliceReport(poset, first, size)
-    acyclic = count_acyclic(omega)
     if total != acyclic:
         raise ArithmeticError(
             f"sliced orbits cover {total} graphs, count_acyclic gives {acyclic}"

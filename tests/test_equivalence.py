@@ -465,12 +465,24 @@ class TestSlicing:
         assert len(reachability_posets(DimensionFunction(dims))) == poset_classes(dims) == want
 
     @pytest.mark.parametrize(
-        "dims, want", [((2, 1, 1), 11), ((1, 2, 2), 11), ((1, 1, 2, 2), 66), ((2, 1, 2, 1), 66)]
+        "dims, want",
+        [
+            ((2, 1, 1), 11),
+            ((1, 2, 2), 11),
+            ((1, 1, 2, 2), 66),
+            ((2, 1, 2, 1), 66),
+            ((3, 1, 1, 2, 1), 821),
+            ((1, 1, 1, 1, 2), 243),
+            ((1, 2, 3, 4), 219),
+            ((4, 3, 2, 1), 219),
+        ],
     )
     def test_posets_on_mixed_dimensions(self, dims, want):
         assert len(reachability_posets(DimensionFunction(dims))) == poset_classes(dims) == want
 
-    @pytest.mark.parametrize("dims", [(1,) * 5, (3, 1, 1, 2, 1), (1, 1, 2, 2)])
+    @pytest.mark.parametrize(
+        "dims", [(1,) * 5, (3, 1, 1, 2, 1), (1, 1, 2, 2), (1, 2, 3, 4), (1, 1, 1, 1, 2)]
+    )
     def test_automorphisms_are_a_full_scan(self, dims):
         group = dimension_preserving(dims)
         for poset in reachability_posets(DimensionFunction(dims)):
@@ -478,6 +490,20 @@ class TestSlicing:
             fixing = [p for p in group if {(p[a - 1], p[b - 1]) for a, b in related} == related]
             assert [mu.images for mu in poset.automorphisms] == fixing
             assert poset.index * len(fixing) == len(group)
+
+    @pytest.mark.parametrize("dims", [(1,) * 5, (2, 1, 2, 1), (3, 1, 1, 2, 1)])
+    def test_posets_are_least_images_in_increasing_order(self, dims):
+        m = len(dims)
+        group = dimension_preserving(dims)
+
+        def code(relations, p):
+            return sum(1 << ((p[a - 1] - 1) * m + p[b - 1] - 1) for a, b in relations)
+
+        posets = reachability_posets(DimensionFunction(dims))
+        codes = [code(poset.relations, group[0]) for poset in posets]
+        assert codes == sorted(set(codes))
+        for poset, least in zip(posets, codes):
+            assert least == min(code(poset.relations, p) for p in group)
 
     def test_six_unit_points_give_the_unlabelled_posets(self):
         assert len(reachability_posets(DimensionFunction((1,) * 6))) == 318
@@ -521,39 +547,71 @@ class TestSlicing:
         assert (err.value.size, err.value.budget) == (498, 497)
         assert str(err.value) == "slicing refused: 498 slice graphs exceed budget 497"
 
-    def test_poset_generation_refuses_on_relabellings_and_layouts(self, monkeypatch):
-        # (1,1,1,1): 24 relabellings and one layout.
-        monkeypatch.setattr(digraph, "ITEM_BUDGET", 24)
+    def test_slicing_refuses_below_the_acyclic_count(self, monkeypatch):
+        # (1,)*9: at least ceil(1,213,442,454,842,881 / 9!) slice graphs, since
+        # each stands for at most |S_omega| = 9! of the acyclic graphs.  The
+        # graphs forward in one order give only ceil(2^36 / 9!) = 189,373.
+        monkeypatch.setattr(equivalence, "reachability_posets", None)
         with pytest.raises(BudgetError) as err:
-            reachability_posets(DimensionFunction.of(1, 1, 1, 1))
-        assert (err.value.size, err.value.budget) == (25, 24)
+            next(sliced_orbits(DimensionFunction((1,) * 9)))
+        assert (err.value.size, err.value.budget) == (3_343_922_109, 10**8)
         assert str(err.value) == (
-            "poset generation refused: 25 relabellings and layouts exceed budget 24"
+            "slicing refused: at least 3343922109 slice graphs exceed budget 100000000"
         )
 
-    def test_poset_generation_refuses_while_growing(self, monkeypatch):
-        # (1,1,2,2) has 4 relabellings and 6 layouts.  The 1, 1, 2 and 7
-        # naturally labelled posets on 0..3 points bound the candidates by
-        # 24*6, 24*6, 2*12*6 = 144 and 7*4*6 = 168: each has at least one
-        # more down-set than points.
-        monkeypatch.setattr(digraph, "ITEM_BUDGET", 150)
+    def test_slicing_refuses_before_counting_acyclic_graphs(self, monkeypatch):
+        # (2,1): the graphs forward in the order 1, 2 number 2^2 = 4.
+        monkeypatch.setattr(equivalence, "count_acyclic", None)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 3)
         with pytest.raises(BudgetError) as err:
-            reachability_posets(DimensionFunction.of(1, 1, 2, 2))
-        assert (err.value.size, err.value.budget) == (168, 150)
+            next(sliced_orbits(DimensionFunction.of(2, 1)))
+        assert str(err.value) == "slicing refused: at least 4 slice graphs exceed budget 3"
+
+    def test_poset_generation_refuses_on_relabellings(self, monkeypatch):
+        # (1,1,1,1): |S_omega| = 4! = 24, refused before any poset is grown.
+        monkeypatch.setattr(equivalence, "_places", None)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 23)
+        with pytest.raises(BudgetError) as err:
+            reachability_posets(DimensionFunction.of(1, 1, 1, 1))
+        assert (err.value.size, err.value.budget) == (24, 23)
+        assert str(err.value) == "poset generation refused: 24 relabellings exceed budget 23"
+
+    def test_poset_generation_refuses_while_growing(self, monkeypatch):
+        # (1,1,1,1): levels 1..4 have 1, 3, 11 and 47 candidates, prefix
+        # groups of 1, 2, 6 and 24, and k = 1, 2, 3, 4 vertices of the new
+        # vertex's dimension.  Levels 1..3 are bounded by 1 + 1*1 = 2,
+        # 3 + 2*2 = 7 and 11 + 4*6 = 35 and scan 2, 7 and 41 items (1, 2 and
+        # 5 classes), 50 in all; level 4 by 47 + 12*24 = 335, refused before
+        # its prefix group is listed.
+        listed, original = [], equivalence._relabellings
+
+        def relabellings(dims):
+            listed.append(len(dims))
+            return original(dims)
+
+        monkeypatch.setattr(equivalence, "_relabellings", relabellings)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 300)
+        with pytest.raises(BudgetError) as err:
+            reachability_posets(DimensionFunction.of(1, 1, 1, 1))
+        assert listed == [1, 2, 3]
+        assert (err.value.size, err.value.budget) == (335, 300)
         assert str(err.value) == (
-            "poset generation refused: at least 168 candidate posets exceed budget 150"
+            "poset generation refused: at least 335 candidates and images on 4 points"
+            " exceed budget 300"
         )
 
     def test_poset_generation_refuses_while_scanning(self, monkeypatch):
-        # (1,1): the antichain costs one candidate and its two images (3),
-        # the chain 1 -> 2 as many again (6).
+        # (1,1): level 1 scans one candidate and its one image (2).  Level 2
+        # is bounded by 3 + 2*2 = 7 and scans the antichain and the chain
+        # 2 -> 1 with their two images each (5, 8), then the chain 1 -> 2,
+        # already met as an image (9).
         omega = DimensionFunction.of(1, 1)
-        monkeypatch.setattr(digraph, "ITEM_BUDGET", 6)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 9)
         assert len(reachability_posets(omega)) == 2
-        monkeypatch.setattr(digraph, "ITEM_BUDGET", 5)
+        monkeypatch.setattr(digraph, "ITEM_BUDGET", 8)
         with pytest.raises(BudgetError) as err:
             reachability_posets(omega)
-        assert (err.value.size, err.value.budget) == (6, 5)
+        assert (err.value.size, err.value.budget) == (9, 8)
         assert str(err.value) == (
-            "poset generation refused: at least 6 candidates and images exceed budget 5"
+            "poset generation refused: at least 9 candidates and images exceed budget 8"
         )
