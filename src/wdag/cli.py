@@ -31,6 +31,7 @@ from .digraph import (
     VWDigraph,
 )
 from .equivalence import (
+    facet_move,
     facet_permutation_action,
     local_complement,
     orbit,
@@ -40,7 +41,7 @@ from .equivalence import (
     sigma_local_complement,
     sliced_orbits,
 )
-from .permutation import Permutation, all_permutations, reduce_top
+from .permutation import Permutation, all_permutations
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -314,14 +315,7 @@ def _check_facet_action(max_n: int):
             for v in range(1, omega.m + 1):
                 for sigma_full in all_permutations(omega.dim(v) + 1):
                     total += 1
-                    image = facet_permutation_action(g, v, sigma_full)
-                    bar = reduce_top(sigma_full)
-                    top = sigma_full(omega.dim(v) + 1)
-                    if top == omega.dim(v) + 1:
-                        expected = permute_out_weights(g, v, bar)
-                    else:
-                        expected = sigma_k_local_complement(g, v, bar, top)
-                    if image != expected:
+                    if facet_permutation_action(g, v, sigma_full) != facet_move(v, sigma_full)(g):
                         bad += 1
         yield (
             f"matrix action vs moves, dims={dims}",

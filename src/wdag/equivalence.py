@@ -30,18 +30,21 @@ from .digraph import (
     is_acyclic,
 )
 from .gf2 import GF2Vector, permute_bits
-from .permutation import Permutation
+from .permutation import Permutation, reduce_top
 
 # orbit refuses once it has found more members than this; read at call time.
 ORBIT_BUDGET = 10**7
 
 
-def _check_vertex(g: VWDigraph, v: int) -> int:
-    """The dimension of vertex v; raises unless v is a vertex of g."""
-    dims = g.omega.dims
-    if not 1 <= v <= len(dims):
-        raise ValueError(f"vertex {v} outside 1..{len(dims)}")
-    return dims[v - 1]
+def _row_dim(g: VWDigraph, v: int, sigma: Permutation) -> int:
+    """The dimension of vertex v; raises unless v is a vertex of g and
+    sigma permutes its weight coordinates."""
+    dim_v = g.omega.dim(v)
+    if len(sigma.images) != dim_v:
+        raise ValueError(
+            f"permutation degree {sigma.degree} does not match dimension {dim_v}"
+        )
+    return dim_v
 
 
 def _complement(g: VWDigraph, v: int, mask: int) -> list[int]:
@@ -79,17 +82,13 @@ def local_complement(g: VWDigraph, v: int) -> VWDigraph:
     """Add the weight of (u,v) onto (u,w) for every in-neighbor u and
     out-neighbor w of v; an edge exists in the result iff its new weight
     is nonzero."""
-    _check_vertex(g, v)
+    g.omega.dim(v)  # raises unless v is a vertex of g
     return VWDigraph._from_key(g.omega, tuple(_complement(g, v, -1)))
 
 
 def permute_out_weights(g: VWDigraph, v: int, sigma: Permutation) -> VWDigraph:
     """Apply sigma to the weight of every edge leaving v."""
-    dim_v = _check_vertex(g, v)
-    if len(sigma.images) != dim_v:
-        raise ValueError(
-            f"permutation degree {sigma.degree} does not match dimension {dim_v}"
-        )
+    _row_dim(g, v, sigma)
     key = list(g.key)
     _permute_row(key, len(g.omega.dims), v, sigma.images, 0, 0)
     return VWDigraph._from_key(g.omega, tuple(key))
@@ -113,11 +112,7 @@ def sigma_k_local_complement(
     the weight of (u,v) exactly when (weight of (v,w))_k = 1.  An edge
     exists in the result iff its final weight is nonzero.
     """
-    dim_v = _check_vertex(g, v)
-    if len(sigma.images) != dim_v:
-        raise ValueError(
-            f"permutation degree {sigma.degree} does not match dimension {dim_v}"
-        )
+    dim_v = _row_dim(g, v, sigma)
     if not 1 <= k <= dim_v:
         raise ValueError(f"coordinate {k} outside 1..{dim_v}")
     mask = 1 << (k - 1)
@@ -163,7 +158,7 @@ def facet_permutation_action(
     sigma_full fixing dim(v)+1 must act as an out-weight permutation,
     anything else as a (sigma, k)-local complementation.
     """
-    dim_v = _check_vertex(g, v)
+    dim_v = g.omega.dim(v)
     if sigma_full.degree != dim_v + 1:
         raise ValueError(
             f"facet permutation degree {sigma_full.degree}, expected {dim_v + 1}"
@@ -227,35 +222,43 @@ def facet_permutation_action(
 # ---------------------------------------------------------------------------
 
 
+def facet_move(v: int, sigma_full: Permutation) -> Callable[[VWDigraph], VWDigraph]:
+    """The move by which the permutation sigma_full of the dim(v)+1 facets
+    at v acts, as a bound public move: the out-weight permutation
+    reduce_top(sigma_full) when sigma_full fixes the top facet, else the
+    (reduce_top(sigma_full), k)-local complementation, k the image of the
+    top facet.  facet_permutation_action is the independent check."""
+    top = sigma_full.degree
+    sigma, k = reduce_top(sigma_full), sigma_full(top)
+    if k == top:
+        return partial(permute_out_weights, v=v, sigma=sigma)
+    return partial(sigma_k_local_complement, v=v, sigma=sigma, k=k)
+
+
 def facet_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
-    """Adjacent out-weight transpositions and identity-(k) local
-    complementations, as bound public moves.  They generate the facet
-    permutations of every vertex, and none of them changes the transitive
-    closure of the support."""
+    """The facet moves of the adjacent transpositions (t t+1), t = 1..d, at
+    each vertex of dimension d: sum(dims) involutions.  They generate the
+    facet permutations S_{d+1} of every vertex, and none of them changes
+    the transitive closure of the support."""
     return [
-        *(
-            partial(permute_out_weights, v=v, sigma=Permutation.transposition(d, t, t + 1))
-            for v, d in enumerate(omega.dims, start=1)
-            for t in range(1, d)
-        ),
-        *(
-            partial(sigma_k_local_complement, v=v, sigma=Permutation.identity(d), k=k)
-            for v, d in enumerate(omega.dims, start=1)
-            for k in range(1, d + 1)
-        ),
+        facet_move(v, Permutation.transposition(d + 1, t, t + 1))
+        for v, d in enumerate(omega.dims, start=1)
+        for t in range(1, d + 1)
     ]
 
 
 def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
-    """Involutive generating set: dimension-preserving vertex swaps and the
+    """Involutive generating set: the swaps of consecutive vertices of one
+    dimension, k-1 for k such vertices, which generate S_omega, and the
     facet generators.  These generate the whole equivalence because each
     full single-vertex move factors into them."""
-    m = omega.m
+    m, dims = omega.m, omega.dims
     return [
         *(
             partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
             for p, q in combinations(range(1, m + 1), 2)
-            if omega.dim(p) == omega.dim(q)
+            # q is the next vertex after p of its dimension.
+            if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
         ),
         *facet_generators(omega),
     ]

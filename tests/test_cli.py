@@ -267,6 +267,32 @@ class TestApply:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "op_json, message",
+        [
+            ('{"op": "lc", "vertex": 5}', "vertex 5 outside 1..4"),
+            (
+                '{"op": "sigma-k-lc", "vertex": 0, "sigma": [1, 2], "k": 1}',
+                "vertex 0 outside 1..4",
+            ),
+            (
+                '{"op": "permute-weights", "vertex": 4, "sigma": [2, 1]}',
+                "permutation degree 2 does not match dimension 3",
+            ),
+            (
+                '{"op": "sigma-k-lc", "vertex": 1, "sigma": [1, 2, 3], "k": 1}',
+                "permutation degree 3 does not match dimension 2",
+            ),
+            (
+                '{"op": "sigma-k-lc", "vertex": 4, "sigma": [1, 2, 3], "k": 4}',
+                "coordinate 4 outside 1..3",
+            ),
+        ],
+    )
+    def test_move_argument_errors(self, capsys, fig_path, op_json, message):
+        assert main(["apply", "--op-json", op_json, "--input", fig_path]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_malformed_json_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"omega": [1, 1]\n')

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, permutations, product
+from functools import partial
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -20,6 +21,7 @@ from wdag.digraph import (
 from wdag.equivalence import (
     count_equivalence_classes,
     facet_generators,
+    facet_move,
     facet_permutation_action,
     local_complement,
     orbit,
@@ -55,6 +57,25 @@ def graph(dims, edges):
         DimensionFunction(dims),
         {(i, j): GF2Vector.from_string(w) for i, j, w in edges},
     )
+
+
+def every_move(omega):
+    """The facet move of every facet permutation at every vertex, and the
+    swap of every two vertices of one dimension: wider than the standard
+    generators, which keep only the adjacent ones."""
+    m = omega.m
+    return [
+        *(
+            facet_move(v, sigma_full)
+            for v in range(1, m + 1)
+            for sigma_full in all_permutations(omega.dim(v) + 1)
+        ),
+        *(
+            partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
+            for p, q in combinations(range(1, m + 1), 2)
+            if omega.dim(p) == omega.dim(q)
+        ),
+    ]
 
 
 class TestWorkedExample:
@@ -179,6 +200,7 @@ class TestMatrixActionOracle:
                     else:
                         expected = sigma_k_local_complement(g, v, bar, sigma_full(d + 1))
                     assert facet_permutation_action(g, v, sigma_full) == expected
+                    assert facet_move(v, sigma_full)(g) == expected
 
     def test_degree_validation(self, fig_graph):
         with pytest.raises(ValueError):
@@ -293,8 +315,8 @@ class TestOrbits:
 
     def test_membership_symmetric(self):
         g = graph((1, 2), [(2, 1, "10")])
-        for gen in standard_generators(g.omega):
-            image = gen(g)
+        for move in every_move(g.omega):
+            image = move(g)
             back = orbit(image, include_members=True)
             assert g in back.members
 
@@ -312,8 +334,8 @@ class TestOrbits:
         # must be indistinguishable from the same graph built from its edges.
         omega = DimensionFunction(dims)
         for g in enumerate_acyclic(omega):
-            for gen in standard_generators(omega):
-                img = gen(g)
+            for move in every_move(omega):
+                img = move(g)
                 rebuilt = VWDigraph(omega, img.edges)
                 assert img == rebuilt
                 assert hash(img) == hash(rebuilt)
@@ -323,8 +345,44 @@ class TestOrbits:
     def test_generators_preserve_acyclicity_spot(self):
         omega = DimensionFunction.of(2, 2)
         for g in enumerate_acyclic(omega):
-            for gen in standard_generators(omega):
-                assert is_acyclic(gen(g))
+            for move in every_move(omega):
+                assert is_acyclic(move(g))
+
+    @pytest.mark.parametrize(
+        "dims", [(1,), (3,), (2, 2), (1, 1, 2, 2), (2, 1, 2, 1), (2, 3, 3, 3), (5, 5, 5)]
+    )
+    def test_generator_counts(self, dims):
+        # d adjacent facet transpositions per vertex of dimension d, and
+        # k - 1 swaps of consecutive vertices per k vertices of one dimension.
+        omega = DimensionFunction(dims)
+        facet = len(facet_generators(omega))
+        assert facet == sum(dims)
+        swaps = sum(k - 1 for k in Counter(dims).values())
+        assert len(standard_generators(omega)) == facet + swaps
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (2, 1, 2, 1)])
+    def test_generators_give_the_whole_group_orbits(self, dims):
+        # Closed under every facet move and every element of S_omega, the
+        # classes partition the space; the orbit of each class's first
+        # member under the standard generators is its whole class, so the
+        # orbit of every graph is its class.
+        omega = DimensionFunction(dims)
+        group = [
+            partial(reorder_vertices, mu=Permutation(mu))
+            for mu in dimension_preserving(dims)
+        ]
+        moves = every_move(omega) + group
+        seen = set()
+        for g in enumerate_acyclic(omega):
+            if g.key in seen:
+                continue
+            members, frontier = {g.key: g}, [g]
+            while frontier:
+                images = (move(h) for h in frontier for move in moves)
+                frontier = [h for h in images if members.setdefault(h.key, h) is h]
+            seen.update(members)
+            assert set(orbit(g, include_members=True).members) == set(members.values())
+        assert len(seen) == count_acyclic(omega)
 
 
 class TestClassCounts:
