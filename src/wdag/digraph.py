@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string, specialize
+from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string
 
 # The most items an exhaustive path here may visit, read at call time:
 # graphs to enumerate or list, or (V, S) pairs for count_acyclic.
@@ -237,6 +237,23 @@ def reduced_matrix(g: VWDigraph) -> VectorMatrix:
     for v in range(1, g.omega.m + 1):
         entries[(v, v)] = GF2Vector.all_ones(g.omega.dim(v))
     return VectorMatrix.from_entries(g.omega, entries)
+
+
+def specialize(a: VectorMatrix, ks: Sequence[int]) -> GF2Matrix:
+    """Pick coordinate ks[i] in every entry of row i, giving a scalar matrix."""
+    m = a.omega.m
+    if len(ks) != m:
+        raise ValueError(f"expected {m} coordinate indices, got {len(ks)}")
+    rows = []
+    for i, (row, k) in enumerate(zip(a.rows, ks), start=1):
+        if not 1 <= k <= a.omega.dim(i):
+            raise ValueError(f"coordinate {k} outside 1..{a.omega.dim(i)} in row {i}")
+        shift = k - 1
+        bits = 0
+        for j, w in enumerate(row):
+            bits |= (w.bits >> shift & 1) << j
+        rows.append(bits)
+    return GF2Matrix(m, tuple(rows))
 
 
 def has_unit_principal_minors(a: VectorMatrix) -> bool:

@@ -2,13 +2,13 @@
 permutation, and (sigma, k)-local complementation.
 
 Two acyclic graphs are equivalent when a sequence of the three moves
-turns one into the other.  Orbits are computed by breadth-first closure
-under a small involutive generating set, and an independent oracle
+turns one into the other.  An orbit is a union of facet orbits, the
+closures under the facet moves, which relabellings carry whole onto each
+other; both class engines find orbits so.  An independent oracle
 realizes each single-vertex move as a facet permutation acting on the
 full characteristic matrix followed by GF(2) row reduction.  Classes
-are found either by sweeping the whole space of acyclic graphs or one
-reachability poset at a time, inside the graphs whose support closes
-to it.
+are found by sweeping all acyclic graphs or one reachability poset at
+a time, inside the graphs whose support closes to it.
 """
 from __future__ import annotations
 
@@ -247,23 +247,6 @@ def facet_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWD
     ]
 
 
-def standard_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
-    """Involutive generating set: the swaps of consecutive vertices of one
-    dimension, k-1 for k such vertices, which generate S_omega, and the
-    facet generators.  These generate the whole equivalence because each
-    full single-vertex move factors into them."""
-    m, dims = omega.m, omega.dims
-    return [
-        *(
-            partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
-            for p, q in combinations(range(1, m + 1), 2)
-            # q is the next vertex after p of its dimension.
-            if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
-        ),
-        *facet_generators(omega),
-    ]
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     canonical: VWDigraph
@@ -272,33 +255,49 @@ class OrbitReport:
 
 
 def _closure(
-    g: VWDigraph, gens: list[Callable[[VWDigraph], VWDigraph]]
+    g: VWDigraph,
+    facet: list[Callable[[VWDigraph], VWDigraph]],
+    relabel: list[Callable[[VWDigraph], VWDigraph]],
 ) -> dict[tuple[int, ...], VWDigraph]:
-    """Breadth-first closure of g under gens, keyed by the members' keys."""
+    """The orbit of g under the facet moves and the relabellings, keyed by
+    the members' keys.  The facet orbit of g is closed breadth first.  A
+    relabelling maps each facet orbit onto a facet orbit, so each further
+    one is the image of a found one's first member, and is mapped whole."""
     budget = ORBIT_BUDGET
+    refuse = partial(BudgetError, "orbit", "at least {} members", budget + 1, budget)
     seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gen in gens:
-                img = gen(cur)
-                if img.key not in seen:
-                    seen[img.key] = img
-                    nxt.append(img)
-                    if len(seen) > budget:
-                        raise BudgetError(
-                            "orbit", "at least {} members", len(seen), budget
-                        )
-        frontier = nxt
+    blocks = [[g]]
+    for cur in blocks[0]:  # a queue: it grows while it is read
+        for gen in facet:
+            img = gen(cur)
+            if img.key not in seen:
+                seen[img.key] = img
+                blocks[0].append(img)
+                if len(seen) > budget:
+                    raise refuse()
+    for block in blocks:
+        for mu in relabel:
+            if mu(block[0]).key not in seen:
+                if len(seen) + len(block) > budget:
+                    raise refuse()
+                blocks.append(list(map(mu, block)))
+                seen.update((h.key, h) for h in blocks[-1])
     return seen
 
 
 def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
-    """Breadth-first closure of g under the standard generators."""
+    """The orbit of g under the facet generators and the swaps of consecutive
+    vertices of one dimension, k-1 for k such vertices, which span S_omega."""
     if not is_acyclic(g):
         raise ValueError("orbits are computed for acyclic graphs only")
-    seen = _closure(g, standard_generators(g.omega))
+    m, dims = g.omega.m, g.omega.dims
+    swaps = [
+        partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
+        for p, q in combinations(range(1, m + 1), 2)
+        # q is the next vertex after p of its dimension.
+        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
+    ]
+    seen = _closure(g, facet_generators(g.omega), swaps)
     by_serial = attrgetter("serial")
     canonical = min(seen.values(), key=by_serial)
     members = tuple(sorted(seen.values(), key=by_serial)) if include_members else None
@@ -511,13 +510,13 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     facet = facet_generators(omega)
     total = 0
     for poset in posets:
-        gens = facet + [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
+        autos = [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
         seen: set[tuple[int, ...]] = set()
         for key in poset.slice_keys():
             if key in seen:
                 continue
             first = VWDigraph._from_key(omega, key)
-            members = _closure(first, gens)
+            members = _closure(first, facet, autos)
             seen.update(members)
             size = len(members) * poset.index
             if group % size:

@@ -7,12 +7,9 @@ immutable value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .permutation import Permutation
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .digraph import VectorMatrix
 
 
 @dataclass(frozen=True)
@@ -165,20 +162,3 @@ def all_principal_minors_one(m: GF2Matrix) -> bool:
         if _det(sub, len(chosen)) != 1:
             return False
     return True
-
-
-def specialize(a: "VectorMatrix", ks: Sequence[int]) -> GF2Matrix:
-    """Pick coordinate ks[i] in every entry of row i, giving a scalar matrix."""
-    m = a.omega.m
-    if len(ks) != m:
-        raise ValueError(f"expected {m} coordinate indices, got {len(ks)}")
-    rows = []
-    for i, (row, k) in enumerate(zip(a.rows, ks), start=1):
-        if not 1 <= k <= a.omega.dim(i):
-            raise ValueError(f"coordinate {k} outside 1..{a.omega.dim(i)} in row {i}")
-        shift = k - 1
-        bits = 0
-        for j, w in enumerate(row):
-            bits |= (w.bits >> shift & 1) << j
-        rows.append(bits)
-    return GF2Matrix(m, tuple(rows))

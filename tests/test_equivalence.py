@@ -32,7 +32,6 @@ from wdag.equivalence import (
     sigma_k_local_complement,
     sigma_local_complement,
     sliced_orbits,
-    standard_generators,
 )
 from wdag.formulas import count_classes_three_vertices_corrected
 from wdag.gf2 import GF2Vector
@@ -328,6 +327,36 @@ class TestOrbits:
         assert (err.value.size, err.value.budget) == (2, 1)
         assert str(err.value) == "orbit refused: at least 2 members exceed budget 1"
 
+    def test_budget_error_while_mapping_facet_orbits(self, monkeypatch, fig_graph):
+        # The README graph's facet orbit of 72 fits the budget; its orbit of
+        # 432 does not, so the refusal comes while mapping facet orbits.
+        monkeypatch.setattr(equivalence, "ORBIT_BUDGET", 100)
+        with pytest.raises(BudgetError) as err:
+            orbit(fig_graph)
+        assert (err.value.size, err.value.budget) == (101, 100)
+        assert str(err.value) == "orbit refused: at least 101 members exceed budget 100"
+
+    def test_orbit_maps_facet_orbits_whole(self, monkeypatch, fig_graph):
+        # The README graph's orbit is 6 facet orbits of 72.  The first is
+        # closed under the 11 facet generators; the 2 swaps are probed at
+        # the first member of each, and each of the 5 others is mapped whole.
+        counts = Counter()
+
+        def counted(name):
+            move = getattr(equivalence, name)
+
+            def count(*args, **kwargs):
+                counts[name] += 1
+                return move(*args, **kwargs)
+
+            monkeypatch.setattr(equivalence, name, count)
+
+        for name in ("permute_out_weights", "sigma_k_local_complement", "reorder_vertices"):
+            counted(name)
+        assert orbit(fig_graph).size == 432
+        facet = counts["permute_out_weights"] + counts["sigma_k_local_complement"]
+        assert (facet, counts["reorder_vertices"]) == (72 * 11, 6 * 2 + 5 * 72)
+
     @pytest.mark.parametrize("dims", [(2, 2), (1, 1, 2), (1, 2, 2)])
     def test_move_images_equal_validated_graphs(self, dims):
         # Moves build their images with the trusted key constructor; each
@@ -352,20 +381,18 @@ class TestOrbits:
         "dims", [(1,), (3,), (2, 2), (1, 1, 2, 2), (2, 1, 2, 1), (2, 3, 3, 3), (5, 5, 5)]
     )
     def test_generator_counts(self, dims):
-        # d adjacent facet transpositions per vertex of dimension d, and
-        # k - 1 swaps of consecutive vertices per k vertices of one dimension.
-        omega = DimensionFunction(dims)
-        facet = len(facet_generators(omega))
-        assert facet == sum(dims)
-        swaps = sum(k - 1 for k in Counter(dims).values())
-        assert len(standard_generators(omega)) == facet + swaps
+        # d adjacent facet transpositions per vertex of dimension d.
+        assert len(facet_generators(DimensionFunction(dims))) == sum(dims)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (2, 1, 2, 1)])
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (2, 1, 2, 1), (1, 1, 1, 1), (2, 2, 2)]
+    )
     def test_generators_give_the_whole_group_orbits(self, dims):
         # Closed under every facet move and every element of S_omega, the
         # classes partition the space; the orbit of each class's first
-        # member under the standard generators is its whole class, so the
-        # orbit of every graph is its class.
+        # member is its whole class, so the orbit of every graph is its
+        # class.  On (1, 1, 1, 1) and (2, 2, 2) relabellings carry facet
+        # orbits onto other facet orbits.
         omega = DimensionFunction(dims)
         group = [
             partial(reorder_vertices, mu=Permutation(mu))

@@ -6,15 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import permutations_of, vectors
-from wdag.digraph import DimensionFunction, VectorMatrix
-from wdag.gf2 import (
-    GF2Matrix,
-    GF2Vector,
-    all_principal_minors_one,
-    gf2_det,
-    gf2_permute,
-    specialize,
-)
+from wdag.digraph import DimensionFunction, VectorMatrix, specialize
+from wdag.gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, gf2_det, gf2_permute
 from wdag.permutation import Permutation
 
 
