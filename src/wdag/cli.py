@@ -10,7 +10,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 from . import cyclestats, formulas
@@ -216,6 +217,14 @@ def _cmd_orbit(args) -> int:
 # checks.  The acceptance tests call the same checks.
 
 
+def _agree(label: str, **sources):
+    """The check line for sources that must all be equal: ok when they are,
+    and the detail names each source's value, in order."""
+    first, *rest = sources.values()
+    detail = " ".join(f"{name}={value}" for name, value in sources.items())
+    return label, all(value == first for value in rest), detail
+
+
 def _small_shapes(max_dim: int, max_vertices: int) -> Iterable[DimensionFunction]:
     for m in range(1, max_vertices + 1):
         for dims in product(range(1, max_dim + 1), repeat=m):
@@ -228,82 +237,69 @@ def _check_identities(max_n: int):
         yield f"identity {name} (max_n={max_n})", report.ok, "; ".join(
             report.violations[:3]
         )
-    n_census = min(max_n, 7)
-    for n in range(n_census + 1):
-        census = cyclestats.cycle_type_census(n)
-
-        def tally(pred) -> int:
-            return sum(v for t, v in census.items() if pred(t))
-
-        ok = all(
-            tally(lambda t, m=m: len(t) == m) == cyclestats.stirling1(n, m)
-            for m in range(n + 1)
-        )
-        ok = ok and all(
-            tally(lambda t, m=m, d=d: len(t) == m and all(l % d == 0 for l in t))
-            == cyclestats.stirling1_all_divisible(d, n, m)
-            for d in (1, 2, 3, 4)
-            for m in range(n + 1)
-        )
-        ok = ok and all(
-            tally(
-                lambda t, m=m, e=e: len(t) == m and sum(1 for l in t if l % 2 == 0) == e
+    for n in range(min(max_n, 7) + 1):
+        # Permutations by cycles m, by (m, even cycles e), and by (d, m)
+        # with every cycle length divisible by d.
+        by_m, by_even, by_d = Counter(), Counter(), Counter()
+        for lengths, count in cyclestats.cycle_type_census(n).items():
+            m = len(lengths)
+            by_m[m] += count
+            by_even[m, sum(1 for length in lengths if length % 2 == 0)] += count
+            for d in (1, 2, 3, 4):
+                if all(length % d == 0 for length in lengths):
+                    by_d[d, m] += count
+        ok = (
+            all(by_m[m] == cyclestats.stirling1(n, m) for m in range(n + 1))
+            and all(
+                by_d[d, m] == cyclestats.stirling1_all_divisible(d, n, m)
+                for d in (1, 2, 3, 4)
+                for m in range(n + 1)
             )
-            == cyclestats.stirling1_by_even(n, m, e)
-            for m in range(n + 1)
-            for e in range(n // 2 + 1)
+            and all(
+                by_even[m, e] == cyclestats.stirling1_by_even(n, m, e)
+                for m in range(n + 1)
+                for e in range(n // 2 + 1)
+            )
         )
         yield f"cycle census agreement n={n}", ok, ""
 
 
 def _check_burnside_oracles(max_n: int):
     for n in range(1, min(max_n, 6) + 1):
-        closed = formulas.count_outstar_classes(n)
-        via_term = formulas.outstar_term(n)
-        oracle = formulas.outstar_orbit_oracle(n)
-        yield (
+        yield _agree(
             f"out-star n={n}",
-            closed == via_term == oracle,
-            f"closed={closed} term={via_term} oracle={oracle}",
+            closed=formulas.count_outstar_classes(n),
+            term=formulas.outstar_term(n),
+            oracle=formulas.outstar_orbit_oracle(n),
         )
     for n in range(1, min(max_n, 6) + 1):
-        closed = formulas.count_unordered_outstar_classes(n)
-        oracle = formulas.unordered_outstar_orbit_oracle(n)
-        yield (
+        yield _agree(
             f"unordered out-star n={n}",
-            closed == oracle,
-            f"closed={closed} oracle={oracle}",
+            closed=formulas.count_unordered_outstar_classes(n),
+            oracle=formulas.unordered_outstar_orbit_oracle(n),
         )
-        closed = formulas.count_unordered_instar_classes(n)
-        oracle = formulas.unordered_instar_orbit_oracle(n)
-        yield (
+        yield _agree(
             f"unordered in-star n={n}",
-            closed == oracle,
-            f"closed={closed} oracle={oracle}",
+            closed=formulas.count_unordered_instar_classes(n),
+            oracle=formulas.unordered_instar_orbit_oracle(n),
         )
     cap = min(max_n, 5)
-    for n in range(1, cap + 1):
-        for m in range(1, cap + 1):
-            closed = formulas.count_path_classes(n, m)
-            oracle = formulas.path_orbit_oracle(n, m)
-            yield (
-                f"path family n={n} m={m}",
-                closed == oracle,
-                f"closed={closed} oracle={oracle}",
-            )
+    for n, m in product(range(1, cap + 1), repeat=2):
+        yield _agree(
+            f"path family n={n} m={m}",
+            closed=formulas.count_path_classes(n, m),
+            oracle=formulas.path_orbit_oracle(n, m),
+        )
 
 
 def _check_two_vertex(max_n: int):
     cap = min(max_n, 5)
-    for n1 in range(1, cap + 1):
-        for n2 in range(1, cap + 1):
-            closed = formulas.count_classes_two_vertices(n1, n2)
-            brute = sum(1 for _ in sliced_orbits(DimensionFunction.of(n1, n2)))
-            yield (
-                f"two-vertex classes ({n1},{n2})",
-                closed == brute,
-                f"closed={closed} brute={brute}",
-            )
+    for n1, n2 in product(range(1, cap + 1), repeat=2):
+        yield _agree(
+            f"two-vertex classes ({n1},{n2})",
+            closed=formulas.count_classes_two_vertices(n1, n2),
+            brute=sum(1 for _ in sliced_orbits(DimensionFunction.of(n1, n2))),
+        )
 
 
 def _check_facet_action(max_n: int):
@@ -334,12 +330,10 @@ def _check_round_trip(max_n: int):
 
 def _check_count_acyclic(max_n: int):
     for omega in _small_shapes(3, 3):
-        counted = count_acyclic(omega)
-        listed = sum(1 for _ in enumerate_acyclic(omega))
-        yield (
+        yield _agree(
             f"count vs enumeration dims={omega.dims}",
-            counted == listed,
-            f"count={counted} enumeration={listed}",
+            count=count_acyclic(omega),
+            enumeration=sum(1 for _ in enumerate_acyclic(omega)),
         )
 
 
@@ -371,15 +365,12 @@ def _check_vanishing_sums(max_n: int):
 
 
 def _check_three_vertex_classes(max_n: int):
-    cap = min(max_n, 4)
-    for n1 in range(1, cap + 1):
-        for n2 in range(n1, cap + 1):
-            for n3 in range(n2, cap + 1):
-                corrected = formulas.count_classes_three_vertices_corrected(n1, n2, n3)
-                brute = formulas.brute_three_vertex_breakdown(n1, n2, n3)
-                same = corrected.per_type == brute.per_type
-                detail = f"corrected={corrected.per_type} brute={brute.per_type}"
-                yield f"three-vertex classes ({n1},{n2},{n3})", same, detail
+    for dims in combinations_with_replacement(range(1, min(max_n, 4) + 1), 3):
+        yield _agree(
+            "three-vertex classes ({},{},{})".format(*dims),
+            corrected=formulas.count_classes_three_vertices_corrected(*dims).per_type,
+            brute=formulas.brute_three_vertex_breakdown(*dims).per_type,
+        )
 
 
 SUITES = {

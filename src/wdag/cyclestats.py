@@ -235,39 +235,29 @@ def verify_identity(name: str, max_n: int) -> IdentityReport:
                         for m in range(0, n + 1)
                     )
                     check(lhs == rhs, f"d={d} n={n} x={x}: {lhs} != {rhs}")
-    elif name == "all_odd":
-        for n in range(1, max_n + 1):
-            lhs = sum(2**m * stirling1_by_even(n, m, 0) for m in range(1, n + 1))
-            check(lhs == 2 * factorial(n), f"n={n}: {lhs} != {2 * factorial(n)}")
-    elif name == "some_even":
-        for n in range(1, max_n + 1):
-            lhs = sum(
-                2**m * stirling1_by_even(n, m, e)
-                for m in range(1, n + 1)
-                for e in range(1, m + 1)
-            )
-            rhs = (n - 1) * factorial(n)
-            check(lhs == rhs, f"n={n}: {lhs} != {rhs}")
-    elif name == "mandev":
-        for n in range(1, max_n + 1):
-            lhs = sum(
-                2**m * 2**e * stirling1_by_even(n, m, e)
-                for m in range(1, n + 1)
-                for e in range(1, m + 1)
-            )
-            k = n // 2
-            if n % 2 == 0:
-                rhs = factorial(2 * k) * (k * k + 2 * k - 1)
-            else:
-                rhs = factorial(2 * k + 1) * k * (k + 3)
-            check(lhs == rhs, f"n={n}: {lhs} != {rhs}")
-    else:  # mandev_minus_one
-        for n in range(1, max_n + 1):
-            lhs = sum(
-                2**m * (2**e - 1) * stirling1_by_even(n, m, e)
-                for m in range(1, n + 1)
-                for e in range(1, m + 1)
-            )
-            rhs = factorial(n) * ((n + 1) // 2) * (n // 2)
-            check(lhs == rhs, f"n={n}: {lhs} != {rhs}")
+        return report
+    # The rest are sum_{m >= 1, e} 2^m w(e) c(n, m, e) = r(n); terms of
+    # weight 0 are skipped.  In r(n), k = n // 2.
+    weight, total = {
+        "all_odd": (lambda e: int(e == 0), lambda n, k: 2 * factorial(n)),
+        "some_even": (lambda e: int(e > 0), lambda n, k: (n - 1) * factorial(n)),
+        "mandev": (
+            lambda e: 2**e if e else 0,
+            lambda n, k: factorial(n) * (k * (k + 3) if n % 2 else k * k + 2 * k - 1),
+        ),
+        "mandev_minus_one": (
+            lambda e: 2**e - 1,
+            lambda n, k: factorial(n) * (n - k) * k,
+        ),
+    }[name]
+    for n in range(1, max_n + 1):
+        weights = [weight(e) for e in range(n + 1)]
+        lhs = sum(
+            2**m * weights[e] * stirling1_by_even(n, m, e)
+            for m in range(1, n + 1)
+            for e in range(m + 1)
+            if weights[e]
+        )
+        rhs = total(n, n // 2)
+        check(lhs == rhs, f"n={n}: {lhs} != {rhs}")
     return report

@@ -135,7 +135,7 @@ class VWDigraph:
     means no edge.  Everything else is derived from the key.
     """
 
-    __slots__ = ("omega", "key", "_serial")
+    __slots__ = ("omega", "key")
 
     def __init__(
         self,
@@ -164,7 +164,6 @@ class VWDigraph:
             key[(i - 1) * m + j - 1] = w.bits
         self.omega = omega
         self.key = tuple(key)
-        self._serial = None
 
     @classmethod
     def _from_key(cls, omega: DimensionFunction, key: tuple[int, ...]) -> "VWDigraph":
@@ -172,7 +171,6 @@ class VWDigraph:
         g = cls.__new__(cls)
         g.omega = omega
         g.key = key
-        g._serial = None
         return g
 
     @property
@@ -194,10 +192,8 @@ class VWDigraph:
     @property
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
-        if self._serial is None:
-            strings = _position_tables(bit_string, self.omega.dims)
-            self._serial = "".join(map(_ByBits.__getitem__, strings, self.key))
-        return self._serial
+        strings = _position_tables(bit_string, self.omega.dims)
+        return "".join(map(_ByBits.__getitem__, strings, self.key))
 
     def __eq__(self, other: object) -> bool:
         return (

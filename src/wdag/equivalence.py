@@ -299,9 +299,10 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     ]
     seen = _closure(g, facet_generators(g.omega), swaps)
     by_serial = attrgetter("serial")
-    canonical = min(seen.values(), key=by_serial)
-    members = tuple(sorted(seen.values(), key=by_serial)) if include_members else None
-    return OrbitReport(canonical=canonical, size=len(seen), members=members)
+    if include_members:
+        members = tuple(sorted(seen.values(), key=by_serial))
+        return OrbitReport(canonical=members[0], size=len(seen), members=members)
+    return OrbitReport(canonical=min(seen.values(), key=by_serial), size=len(seen))
 
 
 def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:

@@ -367,6 +367,22 @@ class TestVerify:
         assert "FAIL oracle: broken check (detail)" in out
         assert "1 failure(s)" in out
 
+    def test_agree_needs_every_source_equal(self):
+        assert cli._agree("x", a=1, b=1, c=2) == ("x", False, "a=1 b=1 c=2")
+        assert cli._agree("y", a={"p": 1}, b={"p": 1}) == ("y", True, "a={'p': 1} b={'p': 1}")
+
+    def test_failing_agreement_names_every_source(self, capsys, monkeypatch):
+        monkeypatch.setattr(formulas, "count_path_classes", lambda n, m: 0)
+        assert main(["verify", "--suite", "burnside", "--max-n", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL burnside: path family n=1 m=1 (closed=0 oracle=1)\n" in out
+
+    def test_failing_two_vertex_detail(self, monkeypatch):
+        monkeypatch.setattr(formulas, "count_classes_two_vertices", lambda n1, n2: 0)
+        assert list(cli._check_two_vertex(1)) == [
+            ("two-vertex classes (1,1)", False, "closed=0 brute=2")
+        ]
+
     @pytest.mark.parametrize("suite,max_n", [("classes", "0"), ("burnside", "-3")])
     def test_max_n_below_one_is_usage_error(self, capsys, suite, max_n):
         assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2

@@ -198,6 +198,13 @@ class TestIdentities:
         assert report.ok
         assert report.checked > 0
 
+    def test_violations_name_each_failing_n(self, monkeypatch):
+        monkeypatch.setattr(wdag.cyclestats, "stirling1_by_even", lambda n, m, e: 0)
+        report = verify_identity("all_odd", 2)
+        assert report.checked == 2
+        assert report.violations == ["n=1: 0 != 2", "n=2: 0 != 4"]
+        assert verify_identity("mandev", 2).violations == ["n=2: 0 != 4"]
+
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="unknown identity"):
             verify_identity("nope", 5)
