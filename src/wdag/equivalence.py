@@ -29,7 +29,7 @@ from .digraph import (
     enumerate_acyclic,
     is_acyclic,
 )
-from .gf2 import GF2Vector, permute_bits
+from .gf2 import permute_bits
 from .permutation import Permutation, reduce_top
 
 # orbit refuses once it has found more members than this; read at call time.
@@ -168,53 +168,60 @@ def facet_permutation_action(
     omega = g.omega
     dims = omega.dims
     m = len(dims)
-    n = sum(dims)
-    starts = [sum(dims[:s]) for s in range(m)]
 
-    # Row starts[s] + c is coordinate c+1 of vertex s+1: its unit bit, and
-    # bit n + t when that coordinate of entry (s+1, t+1) of R is 1.
-    rows = []
-    for s, d in enumerate(dims):
-        entries = list(g.key[s * m : (s + 1) * m])
-        entries[s] = (1 << d) - 1
-        for c in range(d):
-            row = 1 << (starts[s] + c)
-            for t, bits in enumerate(entries):
-                if bits >> c & 1:
-                    row |= 1 << (n + t)
-            rows.append(row)
+    # Row i is coordinate i - starts[s] + 1 of vertex s + 1, s = owner[i]:
+    # its unit bit, and bit n + t when that coordinate of entry (s+1, t+1)
+    # of R is 1.  The diagonal entry of R is all ones.
+    owner = [s for s, d in enumerate(dims) for _ in range(d)]
+    n = len(owner)
+    starts = [owner.index(s) for s in range(m)]
+    rows = [1 << i | 1 << (n + s) for i, s in enumerate(owner)]
+    for p, bits in enumerate(g.key):
+        if bits:
+            s, t = divmod(p, m)
+            while bits:
+                low = bits & -bits
+                rows[starts[s] + low.bit_length() - 1] |= 1 << (n + t)
+                bits ^= low
 
     # Facet k of v's factor is column starts[v-1] + k - 1, the last one
     # column n + v - 1; the new facet-k column is the old facet-sigma(k) one.
-    cols = [starts[v - 1] + k for k in range(dim_v)] + [n + v - 1]
-    moved = sum(1 << col for col in cols)
-    sources = [cols[sigma_full(k) - 1] for k in range(1, dim_v + 2)]
-    rows = [
-        row & ~moved | sum((row >> src & 1) << dst for dst, src in zip(cols, sources))
-        for row in rows
-    ]
+    # A row with bits there takes them out as one (d+1)-bit field.
+    start, top = starts[v - 1], n + v - 1
+    low_mask = (1 << dim_v) - 1
+    moved = low_mask << start | 1 << top
+    for r, row in enumerate(rows):
+        if row & moved:
+            field = row >> start & low_mask | (row >> top & 1) << dim_v
+            field = permute_bits(sigma_full.images, field)
+            rows[r] = row & ~moved | (field & low_mask) << start | (field >> dim_v) << top
 
     # Gauss-Jordan the first n columns to the identity.
     for col in range(n):
         mask = 1 << col
-        pivot = next((r for r in range(col, n) if rows[r] & mask), None)
-        if pivot is None:
-            raise ValueError("facet-permuted matrix is singular; input invalid")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and rows[r] & mask:
-                rows[r] ^= rows[col]
+        if not rows[col] & mask:
+            pivot = next((r for r in range(col + 1, n) if rows[r] & mask), None)
+            if pivot is None:
+                raise ValueError("facet-permuted matrix is singular; input invalid")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+        pivot_row = rows[col]
+        for r, row in enumerate(rows):
+            if row & mask and r != col:
+                rows[r] = row ^ pivot_row
 
-    weights = {}
+    image = [0] * (m * m)
+    for i, s in enumerate(owner):
+        coordinate = 1 << (i - starts[s])
+        bits = rows[i] >> n
+        while bits:
+            low = bits & -bits
+            image[s * m + low.bit_length() - 1] |= coordinate
+            bits ^= low
     for s, d in enumerate(dims):
-        for t in range(m):
-            bits = sum((rows[starts[s] + c] >> (n + t) & 1) << c for c in range(d))
-            if s == t:
-                if bits != (1 << d) - 1:
-                    raise ValueError("image matrix lost its unit diagonal")
-            elif bits:
-                weights[(s + 1, t + 1)] = GF2Vector(d, bits)
-    return VWDigraph(omega, weights)
+        if image[s * m + s] != (1 << d) - 1:
+            raise ValueError("image matrix lost its unit diagonal")
+        image[s * m + s] = 0
+    return VWDigraph._from_key(omega, tuple(image))
 
 
 # ---------------------------------------------------------------------------

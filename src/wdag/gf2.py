@@ -125,11 +125,8 @@ class GF2Matrix:
 
 def gf2_det(m: GF2Matrix) -> int:
     """Determinant over GF(2) by Gaussian elimination on bit-packed rows."""
-    return _det(list(m.rows), m.n)
-
-
-def _det(rows: list[int], n: int) -> int:
-    """gf2_det of the n bit-packed rows, eliminated in place."""
+    n = m.n
+    rows = list(m.rows)
     for col in range(n):
         mask = 1 << col
         pivot = next((r for r in range(col, n) if rows[r] & mask), None)
@@ -143,22 +140,25 @@ def _det(rows: list[int], n: int) -> int:
 
 
 def all_principal_minors_one(m: GF2Matrix) -> bool:
-    """True iff every nonempty principal minor of m equals 1."""
-    n = m.n
+    """True iff every nonempty principal minor of m equals 1.
+
+    A matrix passes iff a_00 = 1, its trailing block passes (the minors
+    without index 0) and its Schur complement A/a_00 passes (the minors
+    with index 0, since det A[S] = a_00 det (A/a_00)[S - 0]).  Over GF(2)
+    row i of A/a_00 is row i, plus row 0 when a_i0 = 1, without column 0.
+    Each nonempty subset is the pivot of exactly one matrix on the stack.
+    """
     rows = m.rows
     # 1x1 minors first: cheap rejection for almost all inputs.
-    for i in range(n):
+    for i in range(m.n):
         if not (rows[i] >> i) & 1:
             return False
-    indices = list(range(n))
-    for subset_mask in range(1, 1 << n):
-        chosen = [i for i in indices if subset_mask >> i & 1]
-        if len(chosen) < 2:
-            continue
-        sub = [
-            sum(((rows[i] >> j) & 1) << col for col, j in enumerate(chosen))
-            for i in chosen
-        ]
-        if _det(sub, len(chosen)) != 1:
+    stack = [rows]
+    while stack:
+        first, *rest = stack.pop()
+        if not first & 1:
             return False
+        if rest:
+            stack.append([r >> 1 for r in rest])
+            stack.append([(r ^ first if r & 1 else r) >> 1 for r in rest])
     return True

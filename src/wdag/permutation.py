@@ -75,15 +75,12 @@ def reduce_top(sigma: Permutation) -> Permutation:
     Points keep their image unless it is n+1, which is rerouted to the
     image of n+1.  When sigma fixes n+1 this is plain restriction.
     """
-    n = sigma.degree - 1
+    images = sigma.images
+    n = len(images) - 1
     if n < 1:
         raise ValueError("need degree at least 2 to reduce")
-    top_img = sigma(n + 1)
-    images = []
-    for t in range(1, n + 1):
-        img = sigma(t)
-        images.append(top_img if img == n + 1 else img)
-    return Permutation(tuple(images))
+    top_img = images[n]
+    return Permutation(tuple(top_img if img == n + 1 else img for img in images[:n]))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

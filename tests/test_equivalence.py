@@ -169,6 +169,81 @@ class TestSigmaKMove:
             sigma_k_local_complement(fig_graph, 9, SIGMA, 1)
 
 
+# The facet oracle as it was before it permuted only the moved columns:
+# every row rebuilt from the key's entries and every row's moved columns
+# gathered bit by bit.  Kept as an independent reference.
+def reference_facet_action(
+    g: VWDigraph, v: int, sigma_full: Permutation
+) -> VWDigraph:
+    """Apply a permutation of the dim(v)+1 facets of the simplex factor at v.
+
+    Builds the block matrix [I_n | R] whose right part is the reduced
+    matrix of g written out in scalar coordinates, permutes the columns
+    belonging to v's factor by sigma_full, row-reduces back to the form
+    [I_n | R'] over GF(2), and reads the image graph off R'.  This is
+    the ground truth the combinatorial moves are checked against:
+    sigma_full fixing dim(v)+1 must act as an out-weight permutation,
+    anything else as a (sigma, k)-local complementation.
+    """
+    dim_v = g.omega.dim(v)
+    if sigma_full.degree != dim_v + 1:
+        raise ValueError(
+            f"facet permutation degree {sigma_full.degree}, expected {dim_v + 1}"
+        )
+    if not is_acyclic(g):
+        raise ValueError("the facet action is defined for acyclic graphs only")
+    omega = g.omega
+    dims = omega.dims
+    m = len(dims)
+    n = sum(dims)
+    starts = [sum(dims[:s]) for s in range(m)]
+
+    # Row starts[s] + c is coordinate c+1 of vertex s+1: its unit bit, and
+    # bit n + t when that coordinate of entry (s+1, t+1) of R is 1.
+    rows = []
+    for s, d in enumerate(dims):
+        entries = list(g.key[s * m : (s + 1) * m])
+        entries[s] = (1 << d) - 1
+        for c in range(d):
+            row = 1 << (starts[s] + c)
+            for t, bits in enumerate(entries):
+                if bits >> c & 1:
+                    row |= 1 << (n + t)
+            rows.append(row)
+
+    # Facet k of v's factor is column starts[v-1] + k - 1, the last one
+    # column n + v - 1; the new facet-k column is the old facet-sigma(k) one.
+    cols = [starts[v - 1] + k for k in range(dim_v)] + [n + v - 1]
+    moved = sum(1 << col for col in cols)
+    sources = [cols[sigma_full(k) - 1] for k in range(1, dim_v + 2)]
+    rows = [
+        row & ~moved | sum((row >> src & 1) << dst for dst, src in zip(cols, sources))
+        for row in rows
+    ]
+
+    # Gauss-Jordan the first n columns to the identity.
+    for col in range(n):
+        mask = 1 << col
+        pivot = next((r for r in range(col, n) if rows[r] & mask), None)
+        if pivot is None:
+            raise ValueError("facet-permuted matrix is singular; input invalid")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r] & mask:
+                rows[r] ^= rows[col]
+
+    weights = {}
+    for s, d in enumerate(dims):
+        for t in range(m):
+            bits = sum((rows[starts[s] + c] >> (n + t) & 1) << c for c in range(d))
+            if s == t:
+                if bits != (1 << d) - 1:
+                    raise ValueError("image matrix lost its unit diagonal")
+            elif bits:
+                weights[(s + 1, t + 1)] = GF2Vector(d, bits)
+    return VWDigraph(omega, weights)
+
+
 class TestMatrixActionOracle:
     def test_identity_fixes(self, fig_graph):
         ident = Permutation.identity(4)
@@ -201,15 +276,27 @@ class TestMatrixActionOracle:
                     assert facet_permutation_action(g, v, sigma_full) == expected
                     assert facet_move(v, sigma_full)(g) == expected
 
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 1), (1, 1, 1, 1)])
+    def test_matches_the_reference_row_reduction(self, dims):
+        omega = DimensionFunction(dims)
+        for g in enumerate_acyclic(omega):
+            for v, d in enumerate(dims, start=1):
+                for sigma_full in all_permutations(d + 1):
+                    assert facet_permutation_action(g, v, sigma_full) == (
+                        reference_facet_action(g, v, sigma_full)
+                    )
+
     def test_degree_validation(self, fig_graph):
-        with pytest.raises(ValueError):
-            facet_permutation_action(fig_graph, 4, Permutation.identity(3))
+        for action in (facet_permutation_action, reference_facet_action):
+            with pytest.raises(ValueError, match="facet permutation degree 3, expected 4"):
+                action(fig_graph, 4, Permutation.identity(3))
 
     def test_rejects_cyclic_input(self):
         two_cycle = graph((1, 2), [(1, 2, "1"), (2, 1, "10")])
-        for v, d in ((1, 1), (2, 2)):
-            with pytest.raises(ValueError, match="acyclic"):
-                facet_permutation_action(two_cycle, v, Permutation.identity(d + 1))
+        for action in (facet_permutation_action, reference_facet_action):
+            for v, d in ((1, 1), (2, 2)):
+                with pytest.raises(ValueError, match="acyclic"):
+                    action(two_cycle, v, Permutation.identity(d + 1))
 
     def test_single_vertex_always_fixed(self):
         g = VWDigraph(DimensionFunction.of(2))

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import permutations_of, vectors
-from wdag.digraph import DimensionFunction, VectorMatrix, specialize
+from wdag.digraph import (
+    DimensionFunction,
+    VectorMatrix,
+    count_dags,
+    scalar_reduced_matrices,
+    specialize,
+)
 from wdag.gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, gf2_det, gf2_permute
 from wdag.permutation import Permutation
 
@@ -102,6 +108,45 @@ class TestPrincipalMinors:
             assert all_principal_minors_one(m) == expected
             accepted += expected
         assert 0 < accepted < 2000
+
+    def test_every_four_by_four_matches_the_reference(self):
+        for rows in product(range(16), repeat=4):
+            m = GF2Matrix(4, rows)
+            assert all_principal_minors_one(m) == reference_minors_one(m)
+
+    def test_random_six_by_six_match_the_reference(self):
+        # Half are unit lower triangular up to a simultaneous permutation of
+        # rows and columns, so all their principal minors are 1 and many
+        # get past every level of the Schur recursion.
+        rng = random.Random(6)
+        accepted = 0
+        for trial in range(2000):
+            if trial % 2:
+                rows = [rng.randrange(64) | 1 << i for i in range(6)]
+            else:
+                order = rng.sample(range(6), 6)
+                rows = [0] * 6
+                for i in range(6):
+                    below = rng.randrange(1 << i) | 1 << i
+                    rows[order[i]] = sum(1 << order[j] for j in range(i + 1) if below >> j & 1)
+            m = GF2Matrix(6, tuple(rows))
+            expected = reference_minors_one(m)
+            assert all_principal_minors_one(m) == expected
+            accepted += expected
+        assert 0 < accepted < 2000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unit_diagonal_acceptance_is_the_reduced_matrices(self, n):
+        # The paper's scalar statement: a unit-diagonal 0/1 matrix has all
+        # principal minors 1 iff it is a DAG's adjacency matrix plus I.
+        choices = [sorted({r | 1 << i for r in range(1 << n)}) for i in range(n)]
+        accepted = {
+            rows
+            for rows in product(*choices)
+            if all_principal_minors_one(GF2Matrix(n, rows))
+        }
+        assert accepted == {m.rows for m in scalar_reduced_matrices(n)}
+        assert len(accepted) == count_dags(n)
 
     def test_identity(self):
         assert all_principal_minors_one(GF2Matrix.identity(4))
