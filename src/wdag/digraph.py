@@ -496,16 +496,19 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
         raise ValueError("blocked set outside 1..n")
     if len(blocked_set) > n - 2:
         raise ValueError("blocked set leaves fewer than one intermediate vertex")
-    rest = sorted(set(range(1, n + 1)) - blocked_set - {i})
+    # Vertex a is row a - 1; bit b - 1 of it is v[a, b].
+    rows = v.rows
+    start = i - 1
+    rest = sorted(set(range(n)) - {b - 1 for b in blocked_set} - {start})
     acc = 0
     for order in permutations(rest):
-        walk = (i,) + order + (i,)
-        prod = 1
-        for a, b in zip(walk, walk[1:]):
-            prod &= v.entry(a, b)
-            if not prod:
+        a = start
+        for b in order:
+            if not rows[a] >> b & 1:
                 break
-        acc ^= prod
+            a = b
+        else:
+            acc ^= rows[a] >> start & 1
     return acc
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, permutations, product
 from math import factorial, prod
 from operator import and_, attrgetter
@@ -145,6 +145,36 @@ def reorder_vertices(g: VWDigraph, mu: Permutation) -> VWDigraph:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _scalar_layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Row i of [I_n | R] is coordinate i - starts[s] + 1 of vertex s + 1,
+    s = owner[i]; n is the total dimension."""
+    owner = tuple(s for s, d in enumerate(dims) for _ in range(d))
+    return owner, tuple(owner.index(s) for s in range(len(dims))), len(owner)
+
+
+@lru_cache(maxsize=1)
+def _characteristic_rows(dims: tuple[int, ...], key: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The rows of [I_n | R] for the graph with this key, or None when it
+    is cyclic.  Callers apply every (v, sigma) to one graph in a row, so
+    one entry is enough."""
+    if not is_acyclic(VWDigraph._from_key(DimensionFunction(dims), key)):
+        return None
+    owner, starts, n = _scalar_layout(dims)
+    m = len(dims)
+    # Row i has its unit bit, and bit n + t when coordinate i - starts[s] + 1
+    # of entry (s+1, t+1) of R is 1.  The diagonal entry of R is all ones.
+    rows = [1 << i | 1 << (n + s) for i, s in enumerate(owner)]
+    for p, bits in enumerate(key):
+        if bits:
+            s, t = divmod(p, m)
+            while bits:
+                low = bits & -bits
+                rows[starts[s] + low.bit_length() - 1] |= 1 << (n + t)
+                bits ^= low
+    return tuple(rows)
+
+
 def facet_permutation_action(
     g: VWDigraph, v: int, sigma_full: Permutation
 ) -> VWDigraph:
@@ -163,26 +193,14 @@ def facet_permutation_action(
         raise ValueError(
             f"facet permutation degree {sigma_full.degree}, expected {dim_v + 1}"
         )
-    if not is_acyclic(g):
-        raise ValueError("the facet action is defined for acyclic graphs only")
     omega = g.omega
     dims = omega.dims
+    characteristic = _characteristic_rows(dims, g.key)
+    if characteristic is None:
+        raise ValueError("the facet action is defined for acyclic graphs only")
+    owner, starts, n = _scalar_layout(dims)
     m = len(dims)
-
-    # Row i is coordinate i - starts[s] + 1 of vertex s + 1, s = owner[i]:
-    # its unit bit, and bit n + t when that coordinate of entry (s+1, t+1)
-    # of R is 1.  The diagonal entry of R is all ones.
-    owner = [s for s, d in enumerate(dims) for _ in range(d)]
-    n = len(owner)
-    starts = [owner.index(s) for s in range(m)]
-    rows = [1 << i | 1 << (n + s) for i, s in enumerate(owner)]
-    for p, bits in enumerate(g.key):
-        if bits:
-            s, t = divmod(p, m)
-            while bits:
-                low = bits & -bits
-                rows[starts[s] + low.bit_length() - 1] |= 1 << (n + t)
-                bits ^= low
+    rows = list(characteristic)
 
     # Facet k of v's factor is column starts[v-1] + k - 1, the last one
     # column n + v - 1; the new facet-k column is the old facet-sigma(k) one.

@@ -19,6 +19,14 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
 
+    @classmethod
+    def _from_images(cls, images: tuple[int, ...]) -> "Permutation":
+        """Trusted constructor for images that are a bijection by
+        construction inside the library: no checks."""
+        sigma = cls.__new__(cls)
+        object.__setattr__(sigma, "images", images)
+        return sigma
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -80,10 +88,13 @@ def reduce_top(sigma: Permutation) -> Permutation:
     if n < 1:
         raise ValueError("need degree at least 2 to reduce")
     top_img = images[n]
-    return Permutation(tuple(top_img if img == n + 1 else img for img in images[:n]))
+    return Permutation._from_images(
+        tuple(top_img if img == n + 1 else img for img in images[:n])
+    )
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of {1..n}, in lexicographic image order."""
-    for images in _itertools_permutations(range(1, n + 1)):
-        yield Permutation(images)
+    if n < 1:
+        raise ValueError("permutation degree must be at least 1")
+    yield from map(Permutation._from_images, _itertools_permutations(range(1, n + 1)))

@@ -1,5 +1,6 @@
 import json
-from itertools import product
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -362,6 +363,41 @@ class TestStreamedEnumeration:
         assert n == count_acyclic(omega) == 190_465
 
 
+def reference_cycle_sum(v: GF2Matrix, blocked, i: int) -> int:
+    """cycle_sum as it read before it walked the row bits."""
+    n = v.n
+    blocked_set = set(blocked)
+    if i in blocked_set:
+        raise ValueError(f"index {i} is blocked")
+    if not 1 <= i <= n:
+        raise ValueError(f"index {i} outside 1..{n}")
+    if any(not 1 <= b <= n for b in blocked_set):
+        raise ValueError("blocked set outside 1..n")
+    if len(blocked_set) > n - 2:
+        raise ValueError("blocked set leaves fewer than one intermediate vertex")
+    rest = sorted(set(range(1, n + 1)) - blocked_set - {i})
+    acc = 0
+    for order in permutations(rest):
+        walk = (i,) + order + (i,)
+        prod = 1
+        for a, b in zip(walk, walk[1:]):
+            prod &= v.entry(a, b)
+            if not prod:
+                break
+        acc ^= prod
+    return acc
+
+
+def _cycle_sum_matrices():
+    for n in range(1, 4):
+        for rows in product(range(1 << n), repeat=n):
+            yield GF2Matrix(n, rows)
+    yield from scalar_reduced_matrices(4)
+    rng = random.Random(20)
+    for _ in range(500):
+        yield GF2Matrix(5, tuple(rng.randrange(1 << 5) for _ in range(5)))
+
+
 class TestVanishingSums:
     def test_identity_matrix(self):
         assert derangement_sum(GF2Matrix.identity(3)) == 0
@@ -379,12 +415,26 @@ class TestVanishingSums:
 
     def test_cycle_sum_preconditions(self):
         m = GF2Matrix.identity(3)
-        with pytest.raises(ValueError):
-            cycle_sum(m, (1,), 1)
-        with pytest.raises(ValueError):
-            cycle_sum(m, (1, 2), 3)
-        with pytest.raises(ValueError):
-            cycle_sum(m, (0,), 2)
+        for sums in (cycle_sum, reference_cycle_sum):
+            with pytest.raises(ValueError, match="index 1 is blocked"):
+                sums(m, (1,), 1)
+            with pytest.raises(ValueError, match="fewer than one intermediate vertex"):
+                sums(m, (1, 2), 3)
+            with pytest.raises(ValueError, match=r"blocked set outside 1\.\.n"):
+                sums(m, (0,), 2)
+            with pytest.raises(ValueError, match=r"index 4 outside 1\.\.3"):
+                sums(m, (), 4)
+
+    def test_cycle_sum_matches_the_reference(self):
+        for mat in _cycle_sum_matrices():
+            vertices = range(1, mat.n + 1)
+            for size in range(mat.n - 1):
+                for blocked in combinations(vertices, size):
+                    for i in vertices:
+                        if i not in blocked:
+                            assert cycle_sum(mat, blocked, i) == (
+                                reference_cycle_sum(mat, blocked, i)
+                            ), (mat, blocked, i)
 
 
 def reference_line(g: VWDigraph) -> str:

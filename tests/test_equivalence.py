@@ -298,6 +298,33 @@ class TestMatrixActionOracle:
                 with pytest.raises(ValueError, match="acyclic"):
                     action(two_cycle, v, Permutation.identity(d + 1))
 
+    def test_memo_follows_the_graph(self):
+        # The rows of [I_n | R] are built once per graph and kept for one
+        # graph only: interleaved graphs, one key under two shapes, and a
+        # cyclic graph between acyclic ones must each get their own rows.
+        g1 = graph((1, 2), [(1, 2, "1")])
+        g2 = graph((1, 2), [(2, 1, "11")])
+        wide = graph((2, 2), [(1, 2, "10")])
+        narrow = graph((2, 1), [(1, 2, "10")])
+        assert wide.key == narrow.key
+        cyclic = graph((1, 2), [(1, 2, "1"), (2, 1, "10")])
+        for g in (g1, g2, g1, wide, narrow, wide, g1, cyclic, g2, cyclic, cyclic, g1):
+            for v, d in enumerate(g.omega.dims, start=1):
+                for sigma_full in all_permutations(d + 1):
+                    if g is cyclic:
+                        with pytest.raises(ValueError, match="acyclic"):
+                            facet_permutation_action(g, v, sigma_full)
+                    else:
+                        assert facet_permutation_action(g, v, sigma_full) == (
+                            reference_facet_action(g, v, sigma_full)
+                        )
+
+    def test_degree_checked_before_acyclicity(self):
+        two_cycle = graph((1, 2), [(1, 2, "1"), (2, 1, "10")])
+        for action in (facet_permutation_action, reference_facet_action):
+            with pytest.raises(ValueError, match="facet permutation degree 2, expected 3"):
+                action(two_cycle, 2, Permutation.identity(2))
+
     def test_single_vertex_always_fixed(self):
         g = VWDigraph(DimensionFunction.of(2))
         for sigma_full in all_permutations(3):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +32,17 @@ class TestConstruction:
 
     def test_all_permutations_count(self):
         assert sum(1 for _ in all_permutations(4)) == 24
+
+    def test_all_permutations_equal_the_validated_ones(self):
+        for n in range(1, 7):
+            got = list(all_permutations(n))
+            want = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+            assert got == want
+            assert list(map(hash, got)) == list(map(hash, want))
+
+    def test_all_permutations_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            list(all_permutations(0))
 
 
 class TestGroupLaws:
@@ -73,8 +86,18 @@ class TestReduceTop:
     def test_always_a_permutation(self, data):
         n = data.draw(st.integers(min_value=1, max_value=6))
         sigma = data.draw(permutations_of(n + 1))
-        reduced = reduce_top(sigma)  # constructor validates bijectivity
+        reduced = reduce_top(sigma)
         assert reduced.degree == n
+        assert sorted(reduced.images) == list(range(1, n + 1))
+
+    def test_equals_the_validated_permutation(self):
+        for n in range(2, 7):
+            for sigma in all_permutations(n):
+                reduced = reduce_top(sigma)
+                top = sigma.images[-1]
+                images = tuple(top if img == n else img for img in sigma.images[:-1])
+                assert reduced == Permutation(images)
+                assert hash(reduced) == hash(Permutation(images))
 
     def test_degree_one_rejected(self):
         with pytest.raises(ValueError):
