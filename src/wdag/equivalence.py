@@ -4,20 +4,24 @@ permutation, and (sigma, k)-local complementation.
 Two acyclic graphs are equivalent when a sequence of the three moves
 turns one into the other.  An orbit is a union of facet orbits, the
 closures under the facet moves, which relabellings carry whole onto each
-other; both class engines find orbits so.  An independent oracle
-realizes each single-vertex move as a facet permutation acting on the
-full characteristic matrix followed by GF(2) row reduction.  Classes
-are found by sweeping all acyclic graphs or one reachability poset at
-a time, inside the graphs whose support closes to it.
+other; `orbit` finds one so, with the public moves.  An independent
+oracle realizes each single-vertex move as a facet permutation acting on
+the full characteristic matrix followed by GF(2) row reduction.  Classes
+are found by sweeping all acyclic graphs with `orbit`, or one
+reachability poset at a time, inside the graphs whose support closes to
+it: the slicer numbers each slice as a product space, compiles the facet
+moves and the poset's automorphisms into index maps, and merges them in
+a flat union-find.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, compress, count, permutations
 from math import factorial, prod
-from operator import and_, attrgetter
+from operator import add, and_, attrgetter, lt
 from typing import Callable, Iterator
 
 from . import digraph
@@ -78,6 +82,14 @@ def _permute_row(
             key[p] = new ^ correction if old & mask else new
 
 
+def _marking(dim_v: int, sigma: Permutation, k: int) -> tuple[int, int]:
+    """The mask of coordinate k, which marks the out-weights a (sigma, k)
+    move complements, and the all-ones-except correction they gain after
+    sigma.  Marked out-weights keep a 1 in coordinate sigma^{-1}(k), so
+    they never vanish."""
+    return 1 << (k - 1), ((1 << dim_v) - 1) ^ (1 << sigma.images.index(k))
+
+
 def local_complement(g: VWDigraph, v: int) -> VWDigraph:
     """Add the weight of (u,v) onto (u,w) for every in-neighbor u and
     out-neighbor w of v; an edge exists in the result iff its new weight
@@ -115,12 +127,9 @@ def sigma_k_local_complement(
     dim_v = _row_dim(g, v, sigma)
     if not 1 <= k <= dim_v:
         raise ValueError(f"coordinate {k} outside 1..{dim_v}")
-    mask = 1 << (k - 1)
+    mask, correction = _marking(dim_v, sigma, k)
     # Cross pairs never touch row v, so it still holds the original weights.
     key = _complement(g, v, mask)
-    # Marked out-edges of v keep a 1 in coordinate sigma^{-1}(k), so they
-    # never vanish.
-    correction = ((1 << dim_v) - 1) ^ (1 << sigma.images.index(k))
     _permute_row(key, len(g.omega.dims), v, sigma.images, mask, correction)
     return VWDigraph._from_key(g.omega, tuple(key))
 
@@ -379,16 +388,6 @@ class Poset:
         """Number of graphs whose support closes to exactly P."""
         return prod(map(len, self._weights()))
 
-    def slice_keys(self) -> Iterator[tuple[int, ...]]:
-        """The keys of the slice of P, a product space: no acyclicity test."""
-        m = self.omega.m
-        positions = [(a - 1) * m + b - 1 for a, b in self.relations]
-        for chosen in product(*self._weights()):
-            key = [0] * (m * m)
-            for p, w in zip(positions, chosen):
-                key[p] = w
-            yield tuple(key)
-
 
 def _relabellings(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
     """S_omega: the vertex permutations, 0-indexed images, that preserve
@@ -502,6 +501,139 @@ class SliceReport:
     size: int
 
 
+def _weight_rules(
+    omega: DimensionFunction, facet: list[Callable[[VWDigraph], VWDigraph]]
+) -> list[tuple[int, int, list[int]]]:
+    """Each facet move as (v, mask, image), read off the (sigma, k) that
+    facet_move bound into it: image[w] is v's out-weight w after the move,
+    and an in-neighbor's weight is added onto each cross pair whose
+    out-weight shares a bit with mask, 0 for an out-weight permutation."""
+    rules = []
+    for move in facet:
+        v, sigma, k = move.keywords["v"], move.keywords["sigma"], move.keywords.get("k")
+        dim_v = omega.dims[v - 1]
+        mask, correction = _marking(dim_v, sigma, k) if k else (0, 0)
+        image = list(range(1 << dim_v))
+        _permute_row(image, len(image), 1, sigma.images, mask, correction)
+        rules.append((v, mask, image))
+    return rules
+
+
+def _digitwise(terms: list[list[int]]) -> list[int]:
+    """The map x -> sum over j of terms[j][digit j of x], the first digit
+    most significant."""
+    out = [0]
+    for term in terms:
+        out = [a + b for a in out for b in term]
+    return out
+
+
+class _Slice:
+    """The slice of a poset P numbered as a product space: digit j is the
+    weight of relation j of P less its least value (1 on a cover, else 0),
+    in radix radices[j], the first relation most significant, so index
+    order is slice order.  Moves compile to index maps, lists whose entry
+    x is the index of the image of point x."""
+
+    def __init__(self, poset: Poset) -> None:
+        weights = poset._weights()
+        self.m = poset.omega.m
+        self.relations = poset.relations
+        self.digit = {relation: j for j, relation in enumerate(poset.relations)}
+        self.offsets = [r.start for r in weights]
+        self.radices = radices = [len(r) for r in weights]
+        self.strides = [prod(radices[j + 1 :]) for j in range(len(radices))]
+        self.size = prod(radices)
+
+    def key(self, index: int) -> tuple[int, ...]:
+        """The key of the slice point with this index."""
+        m = self.m
+        key = [0] * (m * m)
+        for (a, b), r, s, o in zip(self.relations, self.radices, self.strides, self.offsets):
+            key[(a - 1) * m + b - 1] = index // s % r + o
+        return tuple(key)
+
+    def _spread(self, digits: list[int], value: Callable[..., int]) -> list[int]:
+        """[value(*digits of x at `digits`) for x in the slice], built by
+        repeating blocks of equal values."""
+        radices, strides = self.radices, self.strides
+        chosen = [0] * len(digits)
+        role = {j: r for r, j in enumerate(digits)}
+        last = max(digits)
+
+        def block(j: int) -> list[int]:
+            if j > last:
+                return [value(*chosen)] * strides[last]
+            if j not in role:
+                return block(j + 1) * radices[j]
+            parts: list[int] = []
+            for x in range(radices[j]):
+                chosen[role[j]] = x
+                parts += block(j + 1)
+            return parts
+
+        first = min(digits)
+        return block(first) * (self.size // (strides[first] * radices[first]))
+
+    def facet_map(self, v: int, mask: int, image: list[int]) -> list[int]:
+        """The index map of a facet move at v, given as by _weight_rules.
+        It changes the digits of row v each on its own, and each cross pair
+        by a term over the three digits it involves."""
+        relations, digit, offsets, strides = self.relations, self.digit, self.offsets, self.strides
+        row = [j for j, (a, _) in enumerate(relations) if a == v]
+        terms = [[x * s for x in range(r)] for r, s in zip(self.radices, strides)]
+        for j in row:
+            o = offsets[j]
+            terms[j] = [(image[x + o] - o) * strides[j] for x in range(self.radices[j])]
+        out = _digitwise(terms)
+        if mask:
+            # A cross pair (u, w) gains w_uv where w_vw is marked; it is a
+            # relation but no cover of P, since v splits it.
+            for a, (u, head) in enumerate(relations):
+                if head != v:
+                    continue
+                for b in row:
+                    c = digit[u, relations[b][1]]
+                    ua, vb, sc = offsets[a], offsets[b], strides[c]
+
+                    def gain(xa, xb, xc, ua=ua, vb=vb, sc=sc):
+                        return sc * ((xc ^ (xa + ua)) - xc) if (xb + vb) & mask else 0
+
+                    out = list(map(add, out, self._spread([a, b, c], gain)))
+        return out
+
+    def relabelling(self, mu: Permutation) -> tuple[int, ...]:
+        """The digits moved by reorder_vertices with an automorphism mu of
+        P: digit j of the image is digit moved[j] of the point."""
+        return tuple(self.digit[mu(a), mu(b)] for a, b in self.relations)
+
+    def relabel_map(self, moved: tuple[int, ...]) -> list[int]:
+        """The index map of the relabelling that moves the digits so.  It
+        only moves digits, so it is a sum of one term per digit."""
+        terms: list[list[int]] = [[]] * len(moved)
+        for j, i in enumerate(moved):
+            terms[i] = [x * self.strides[j] for x in range(self.radices[i])]
+        return _digitwise(terms)
+
+
+def _link(parent: array, image: list[int]) -> None:
+    """Join x and image[x] for every x < image[x] in the union-find parent,
+    each root linked under the smaller, so a root is its class's least
+    index and parent[x] <= x throughout."""
+    for x, y in compress(enumerate(image), map(lt, count(), image)):
+        # Find both roots, halving the paths.
+        while (p := parent[x]) != x:
+            parent[x] = p = parent[p]
+            x = p
+        while (p := parent[y]) != y:
+            parent[y] = p = parent[p]
+            y = p
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+
+
 def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     """Every class of the acyclic graphs of shape omega once, one poset at
     a time.
@@ -509,10 +641,13 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     The facet generators keep the closure of the support fixed, so a class
     meets the slice of its poset P in one orbit of the facet generators and
     the reorderings in Aut_omega(P), and its whole orbit is that times
-    [S_omega : Aut_omega(P)].  Two checks come free and raise
-    ArithmeticError on a failure: each orbit size divides the order of the
-    group, prod (d_i+1)! times prod (multiplicity)!, and the sizes sum to
-    count_acyclic(omega), after the last report.
+    [S_omega : Aut_omega(P)].  Each slice is numbered as a product space
+    and each generator compiled once into an index map; the maps are merged
+    one at a time into a union-find over the slice, and each class is
+    reported at its first member in slice order.  Two checks come free and
+    raise ArithmeticError on a failure: each orbit size divides the order
+    of the group, prod (d_i+1)! times prod (multiplicity)!, and the sizes
+    sum to count_acyclic(omega), after the last report.
 
     Refuses at the first next(): each slice graph stands for at most
     |S_omega| graphs, so on count_acyclic(omega) / |S_omega| slice graphs,
@@ -533,24 +668,35 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     if visits > budget:
         raise BudgetError("slicing", "{} slice graphs", visits, budget)
     group = prod(factorial(d + 1) for d in dims) * relabellings
-    facet = facet_generators(omega)
+    rules = _weight_rules(omega, facet_generators(omega))
     total = 0
     for poset in posets:
-        autos = [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
-        seen: set[tuple[int, ...]] = set()
-        for key in poset.slice_keys():
-            if key in seen:
-                continue
-            first = VWDigraph._from_key(omega, key)
-            members = _closure(first, facet, autos)
-            seen.update(members)
-            size = len(members) * poset.index
+        numbering = _Slice(poset)
+        parent = array("q", range(numbering.size))
+        # One map at a time.  Each map's inverse is among the maps: the
+        # facet moves are involutions, the relabellings a group.  A facet
+        # move at a vertex with no out-relation, and a relabelling that
+        # moves no digit, fix every point.
+        tails = {a for a, _ in poset.relations}
+        for v, mask, image in rules:
+            if v in tails:
+                _link(parent, numbering.facet_map(v, mask, image))
+        moved = set(map(numbering.relabelling, poset.automorphisms[1:]))
+        for digits in moved - {tuple(range(len(poset.relations)))}:
+            _link(parent, numbering.relabel_map(digits))
+        # parent[x] <= x, so one pass in index order points each at its root.
+        # A root is its class's least index, where the Counter first meets
+        # it, so the classes come in slice order.
+        for x in range(numbering.size):
+            parent[x] = parent[parent[x]]
+        for root, members in Counter(parent).items():
+            size = members * poset.index
             if group % size:
                 raise ArithmeticError(
                     f"orbit of {size} graphs does not divide the group order {group}"
                 )
             total += size
-            yield SliceReport(poset, first, size)
+            yield SliceReport(poset, VWDigraph._from_key(omega, numbering.key(root)), size)
     if total != acyclic:
         raise ArithmeticError(
             f"sliced orbits cover {total} graphs, count_acyclic gives {acyclic}"

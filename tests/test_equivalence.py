@@ -1,8 +1,11 @@
 import random
+import re
 from collections import Counter
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -19,6 +22,7 @@ from wdag.digraph import (
     is_acyclic,
 )
 from wdag.equivalence import (
+    SliceReport,
     count_equivalence_classes,
     facet_generators,
     facet_move,
@@ -37,6 +41,7 @@ from wdag.formulas import count_classes_three_vertices_corrected
 from wdag.gf2 import GF2Vector
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
+ROOT = Path(__file__).resolve().parents[1]
 SIGMA = Permutation.from_cycles(3, (1, 2, 3))
 
 SWEEP_SHAPES = [
@@ -642,7 +647,144 @@ SLICE_SHAPES = [
 ]
 
 
+# The slicer as it was before its moves were compiled into index maps:
+# each slice's keys listed as tuples, each class found by the orbit
+# closure with the public moves.  Kept as an independent reference.
+def slice_keys(poset):
+    """The keys of the slice of P, a product space: no acyclicity test."""
+    m = poset.omega.m
+    positions = [(a - 1) * m + b - 1 for a, b in poset.relations]
+    for chosen in product(*poset._weights()):
+        key = [0] * (m * m)
+        for p, w in zip(positions, chosen):
+            key[p] = w
+        yield tuple(key)
+
+
+def reference_sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
+    """Every class of the acyclic graphs of shape omega once, one poset at
+    a time.
+
+    The facet generators keep the closure of the support fixed, so a class
+    meets the slice of its poset P in one orbit of the facet generators and
+    the reorderings in Aut_omega(P), and its whole orbit is that times
+    [S_omega : Aut_omega(P)].  Two checks come free and raise
+    ArithmeticError on a failure: each orbit size divides the order of the
+    group, prod (d_i+1)! times prod (multiplicity)!, and the sizes sum to
+    count_acyclic(omega), after the last report.
+
+    Refuses at the first next(): each slice graph stands for at most
+    |S_omega| graphs, so on count_acyclic(omega) / |S_omega| slice graphs,
+    first with the graphs forward in one vertex order for count_acyclic
+    (which takes 3^m - 2^m steps); then as reachability_posets does; then
+    on the exact number of slice graphs, all against digraph.ITEM_BUDGET.
+    """
+    dims, budget = omega.dims, digraph.ITEM_BUDGET
+    relabellings = prod(map(factorial, Counter(dims).values()))
+    least = -(-(1 << sum(a * d for a, d in enumerate(sorted(dims)))) // relabellings)
+    if least <= budget:
+        acyclic = count_acyclic(omega)
+        least = -(-acyclic // relabellings)
+    if least > budget:
+        raise BudgetError("slicing", "at least {} slice graphs", least, budget)
+    posets = reachability_posets(omega)
+    visits = sum(p.slice_size for p in posets)
+    if visits > budget:
+        raise BudgetError("slicing", "{} slice graphs", visits, budget)
+    group = prod(factorial(d + 1) for d in dims) * relabellings
+    facet = facet_generators(omega)
+    total = 0
+    for poset in posets:
+        autos = [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
+        seen: set[tuple[int, ...]] = set()
+        for key in slice_keys(poset):
+            if key in seen:
+                continue
+            first = VWDigraph._from_key(omega, key)
+            members = equivalence._closure(first, facet, autos)
+            seen.update(members)
+            size = len(members) * poset.index
+            if group % size:
+                raise ArithmeticError(
+                    f"orbit of {size} graphs does not divide the group order {group}"
+                )
+            total += size
+            yield SliceReport(poset, first, size)
+    if total != acyclic:
+        raise ArithmeticError(
+            f"sliced orbits cover {total} graphs, count_acyclic gives {acyclic}"
+        )
+
+
+# The class census of the four-vertex shapes with dimensions <= 3.  CI
+# recomputes the costly five, which take about 0.5-0.9 s each, through
+# `wdag count weak --brute`.
+FOUR_VERTEX_CENSUS = {
+    (1, 1, 1, 1): 19,
+    (1, 1, 1, 2): 92,
+    (1, 1, 1, 3): 201,
+    (1, 1, 2, 2): 199,
+    (1, 1, 2, 3): 822,
+    (1, 1, 3, 3): 832,
+    (1, 2, 2, 2): 203,
+    (1, 2, 2, 3): 1_194,
+    (1, 2, 3, 3): 2_255,
+    (1, 3, 3, 3): 1_378,
+    (2, 2, 2, 2): 84,
+    (2, 2, 2, 3): 607,
+    (2, 2, 3, 3): 1_605,
+    (2, 3, 3, 3): 1_826,
+    (3, 3, 3, 3): 768,
+}
+COSTLY_CENSUS = [(1, 2, 3, 3), (1, 3, 3, 3), (2, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3)]
+
+
 class TestSlicing:
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            *SLICE_SHAPES,
+            (3, 3, 3),
+            (5, 5, 5),
+            (2, 2, 2, 2),
+            (1, 2, 1, 3),
+            (1, 1, 1, 1, 2),
+        ],
+    )
+    def test_reports_equal_the_reference_slicer(self, dims):
+        omega = DimensionFunction(dims)
+        assert list(sliced_orbits(omega)) == list(reference_sliced_orbits(omega))
+
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 1, 2, 1)])
+    def test_compiled_maps_equal_the_public_moves(self, dims):
+        omega = DimensionFunction(dims)
+        facet = facet_generators(omega)
+        rules = equivalence._weight_rules(omega, facet)
+        for poset in reachability_posets(omega):
+            numbering = equivalence._Slice(poset)
+            graphs = [VWDigraph._from_key(omega, numbering.key(x)) for x in range(numbering.size)]
+            assert [g.key for g in graphs] == list(slice_keys(poset))
+            index = {g.key: x for x, g in enumerate(graphs)}
+            for move, rule in zip(facet, rules):
+                assert numbering.facet_map(*rule) == [index[move(g).key] for g in graphs]
+            for mu in poset.automorphisms[1:]:
+                want = [index[reorder_vertices(g, mu).key] for g in graphs]
+                assert numbering.relabel_map(numbering.relabelling(mu)) == want
+
+    @pytest.mark.parametrize(
+        "dims", [dims for dims in FOUR_VERTEX_CENSUS if dims not in COSTLY_CENSUS]
+    )
+    def test_four_vertex_census(self, dims):
+        want = FOUR_VERTEX_CENSUS[dims]
+        assert sum(1 for _ in sliced_orbits(DimensionFunction(dims))) == want
+
+    def test_ci_pins_the_costly_census(self):
+        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        pins = re.search(r"for pin in ([\d,= ]+); do", workflow).group(1).split()
+        assert pins == [
+            f"{','.join(map(str, dims))}={FOUR_VERTEX_CENSUS[dims]}" for dims in COSTLY_CENSUS
+        ]
+
     @pytest.mark.parametrize("dims", SLICE_SHAPES)
     def test_sliced_count_equals_the_whole_space_sweep(self, dims):
         omega = DimensionFunction(dims)
