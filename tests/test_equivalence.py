@@ -1,5 +1,4 @@
 import random
-import re
 from collections import Counter
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -37,7 +36,7 @@ from wdag.equivalence import (
     sigma_local_complement,
     sliced_orbits,
 )
-from wdag.formulas import count_classes_three_vertices_corrected
+from wdag.formulas import count_classes_three_vertices_corrected, count_classes_two_vertices
 from wdag.gf2 import GF2Vector
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
@@ -716,27 +715,14 @@ def reference_sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
         )
 
 
-# The class census of the four-vertex shapes with dimensions <= 3.  CI
-# recomputes the costly five, which take about 0.5-0.9 s each, through
-# `wdag count weak --brute`.
-FOUR_VERTEX_CENSUS = {
-    (1, 1, 1, 1): 19,
-    (1, 1, 1, 2): 92,
-    (1, 1, 1, 3): 201,
-    (1, 1, 2, 2): 199,
-    (1, 1, 2, 3): 822,
-    (1, 1, 3, 3): 832,
-    (1, 2, 2, 2): 203,
-    (1, 2, 2, 3): 1_194,
-    (1, 2, 3, 3): 2_255,
-    (1, 3, 3, 3): 1_378,
-    (2, 2, 2, 2): 84,
-    (2, 2, 2, 3): 607,
-    (2, 2, 3, 3): 1_605,
-    (2, 3, 3, 3): 1_826,
-    (3, 3, 3, 3): 768,
-}
-COSTLY_CENSUS = [(1, 2, 3, 3), (1, 3, 3, 3), (2, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3)]
+# The class census: one line per sorted shape, "dims count_acyclic classes".
+CENSUS_TEXT = (ROOT / "tests" / "data" / "class_census.txt").read_text(encoding="utf-8")
+CENSUS = [
+    (tuple(map(int, dims.split(","))), int(acyclic), int(classes))
+    for dims, acyclic, classes in (
+        line.split() for line in CENSUS_TEXT.splitlines() if not line.startswith("#")
+    )
+]
 
 
 class TestSlicing:
@@ -771,34 +757,41 @@ class TestSlicing:
                 want = [index[reorder_vertices(g, mu).key] for g in graphs]
                 assert numbering.relabel_map(numbering.relabelling(mu)) == want
 
-    @pytest.mark.parametrize(
-        "dims", [dims for dims in FOUR_VERTEX_CENSUS if dims not in COSTLY_CENSUS]
-    )
-    def test_four_vertex_census(self, dims):
-        want = FOUR_VERTEX_CENSUS[dims]
-        assert sum(1 for _ in sliced_orbits(DimensionFunction(dims))) == want
-
-    def test_ci_pins_the_costly_census(self):
-        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-        pins = re.search(r"for pin in ([\d,= ]+); do", workflow).group(1).split()
-        assert pins == [
-            f"{','.join(map(str, dims))}={FOUR_VERTEX_CENSUS[dims]}" for dims in COSTLY_CENSUS
+    def test_census_lists_each_shape_once_in_order(self):
+        families = [(1, 9), (2, 9), (3, 5), (4, 3), (5, 2)]
+        shapes = [
+            *(
+                dims
+                for m, top in families
+                for dims in combinations_with_replacement(range(1, top + 1), m)
+            ),
+            (1,) * 6,
+            (1,) * 7,
         ]
+        assert [dims for dims, _, _ in CENSUS] == shapes
+        assert len(shapes) == 112
+
+    # Tier-1 recomputes a line's classes when the slicer's own lower bound
+    # on the slice graphs it visits, ceil(count_acyclic / |S_omega|), is at
+    # most 150,000; CI recomputes every line through `wdag count weak --brute`.
+    @pytest.mark.parametrize(
+        "dims, acyclic, classes", CENSUS, ids=[",".join(map(str, d)) for d, _, _ in CENSUS]
+    )
+    def test_census_line(self, dims, acyclic, classes):
+        omega = DimensionFunction(dims)
+        assert count_acyclic(omega) == acyclic
+        if omega.m == 2:
+            assert count_classes_two_vertices(*dims) == classes
+        if omega.m == 3:
+            assert count_classes_three_vertices_corrected(*dims).total == classes
+        relabellings = prod(map(factorial, Counter(dims).values()))
+        if -(-acyclic // relabellings) <= 150_000:
+            assert sum(1 for _ in sliced_orbits(omega)) == classes
 
     @pytest.mark.parametrize("dims", SLICE_SHAPES)
     def test_sliced_count_equals_the_whole_space_sweep(self, dims):
         omega = DimensionFunction(dims)
         assert sum(1 for _ in sliced_orbits(omega)) == count_equivalence_classes(omega)
-
-    # Whole-space sweep results too slow to rerun here: (1,1,1,1,2) took
-    # 22 s and (1,)*6 12 minutes and 1.4 GB.
-    @pytest.mark.parametrize("dims, want", [((1, 1, 1, 1, 2), 991), ((1,) * 6, 1_111)])
-    def test_sliced_count_equals_the_pinned_sweep(self, dims, want):
-        assert sum(1 for _ in sliced_orbits(DimensionFunction(dims))) == want
-
-    def test_sliced_count_equals_the_corrected_three_vertex_form(self):
-        want = count_classes_three_vertices_corrected(5, 5, 5).total
-        assert sum(1 for _ in sliced_orbits(DimensionFunction.of(5, 5, 5))) == want == 74
 
     @pytest.mark.parametrize("m, want", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
     def test_posets_on_unit_dimensions(self, m, want):
