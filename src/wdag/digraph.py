@@ -143,25 +143,28 @@ class VWDigraph:
         weights: Mapping[tuple[int, int], GF2Vector]
         | Iterable[tuple[int, int, GF2Vector]] = (),
     ):
-        if isinstance(weights, Mapping):
-            items = [(i, j, w) for (i, j), w in weights.items()]
-        else:
-            items = list(weights)
-        m = omega.m
+        dims = omega.dims
+        m = len(dims)
         key = [0] * (m * m)
-        for i, j, w in items:
+        # Enumeration passes a tuple, which skips the slower ABC check.
+        if type(weights) is not tuple and isinstance(weights, Mapping):
+            weights = [(i, j, w) for (i, j), w in weights.items()]
+        for i, j, w in weights:
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError(f"edge ({i},{j}) outside 1..{m}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            want = omega.dims[i - 1]
-            if w.dim != want:
-                raise ValueError(f"edge ({i},{j}) weight has dimension {w.dim}, want {want}")
-            if w.is_zero:
+            if w.dim != dims[i - 1]:
+                raise ValueError(
+                    f"edge ({i},{j}) weight has dimension {w.dim}, want {dims[i - 1]}"
+                )
+            bits = w.bits
+            if not bits:
                 raise ValueError(f"edge ({i},{j}) carries the zero vector")
-            if key[(i - 1) * m + j - 1]:
+            p = (i - 1) * m + j - 1
+            if key[p]:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            key[(i - 1) * m + j - 1] = w.bits
+            key[p] = bits
         self.omega = omega
         self.key = tuple(key)
 
@@ -551,22 +554,24 @@ def graph_from_json(doc: dict) -> VWDigraph:
 
 
 @lru_cache(maxsize=None)
-def _json_openings(dims: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
-    """The start of a graph line, and the start of the edge object at each
-    key position, up to the opening quote of its weight."""
+def _json_openings(
+    dims: tuple[int, ...]
+) -> tuple[str, tuple[str, ...], tuple[_ByBits, ...]]:
+    """The start of a graph line, the start of the edge object at each key
+    position up to the opening quote of its weight, and the bit strings of
+    each position's weights: everything ``dumps_graph`` needs per shape."""
     m = len(dims)
     head = f'{{"omega": {json.dumps(list(dims))}, "edges": ['
-    return head, tuple(
+    openings = tuple(
         f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
     )
+    return head, openings, _position_tables(bit_string, dims)
 
 
 def dumps_graph(g: VWDigraph) -> str:
     """One JSON line, rendered from the key; byte-identical to
     ``json.dumps(graph_to_json(g), separators=(", ", ": "))``."""
-    dims = g.omega.dims
-    head, openings = _json_openings(dims)
-    strings = _position_tables(bit_string, dims)
+    head, openings, strings = _json_openings(g.omega.dims)
     return (
         head
         + ", ".join(

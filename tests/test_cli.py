@@ -21,6 +21,15 @@ FIG_GRAPH = {
 }
 
 
+def census_classes(dims: str) -> str:
+    """The class count pinned for one shape in the census file."""
+    census = Path(__file__).parent / "data" / "class_census.txt"
+    for line in census.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#") and line.split()[0] == dims:
+            return line.split()[2]
+    raise KeyError(dims)
+
+
 def whole_space_sweep(omega):
     raise AssertionError("the CLI counts classes by slices, not by the whole-space sweep")
 
@@ -92,7 +101,7 @@ class TestCount:
     def test_weak_brute_counts_by_slices(self, capsys, monkeypatch):
         monkeypatch.setattr(equivalence, "orbits", whole_space_sweep)
         assert main(["count", "weak", "--omega", "1,1,1,1,1"]) == 0
-        assert capsys.readouterr() == ("109\n", "source: brute\n")
+        assert capsys.readouterr() == (census_classes("1,1,1,1,1") + "\n", "source: brute\n")
 
     def test_weak_refuses_before_growing_posets(self, capsys):
         # Distinct dimensions: S_omega is trivial, so every acyclic graph is a
@@ -123,7 +132,7 @@ class TestEnumerate:
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_limit_streams_a_large_shape(self, capsys):
-        # 5,140,479 graphs: within the budget, and only three are built.
+        # 5,140,479 graphs: within the budget, and only two are built.
         assert main(["enumerate", "--omega", "3,3,3,3", "--limit", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
@@ -141,6 +150,29 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--limit" in captured.err
+
+    def test_limit_zero_still_refuses(self, capsys):
+        assert main(["enumerate", "--omega", "6,6,6,6", "--limit", "0"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "enumeration refused: 1610715496447 acyclic graphs exceed budget 100000000\n",
+        )
+        assert main(["enumerate", "--omega", "1,1", "--limit", "0"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_lines_across_blocks_equal_the_reference_rendering(self, capsys):
+        # 721 lines: more than two blocks, the last one partial.
+        reference = [
+            json.dumps(graph_to_json(g), separators=(", ", ": ")) + "\n"
+            for g in enumerate_acyclic(DimensionFunction.of(2, 2, 3))
+        ]
+        block = cli._ENUMERATE_BLOCK
+        assert len(reference) == 721 > 2 * block
+        assert main(["enumerate", "--omega", "2,2,3"]) == 0
+        assert capsys.readouterr() == ("".join(reference), "")
+        for limit in (block - 1, block, block + 1, 2 * block):
+            assert main(["enumerate", "--omega", "2,2,3", "--limit", str(limit)]) == 0
+            assert capsys.readouterr() == ("".join(reference[:limit]), "")
 
     def test_lines_equal_the_reference_rendering(self, capsys):
         assert main(["enumerate", "--omega", "1,1,2"]) == 0

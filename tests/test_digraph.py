@@ -114,6 +114,57 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="dimension"):
             VWDigraph(omega, {(1, 2): GF2Vector.all_ones(1)})
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 2, "10")], "edge (0,2) outside 1..2"),
+            ([(3, 1, "10")], "edge (3,1) outside 1..2"),
+            ([(1, 0, "10")], "edge (1,0) outside 1..2"),
+            ([(1, 3, "10")], "edge (1,3) outside 1..2"),
+            ([(3, 3, "1")], "edge (3,3) outside 1..2"),
+            ([(2, 2, "1")], "self-loop at vertex 2"),
+            ([(1, 1, "1")], "self-loop at vertex 1"),
+            ([(1, 2, "1")], "edge (1,2) weight has dimension 1, want 2"),
+            ([(2, 1, "00")], "edge (2,1) weight has dimension 2, want 1"),
+            ([(1, 2, "00")], "edge (1,2) carries the zero vector"),
+            ([(1, 2, "10"), (2, 1, "0")], "edge (2,1) carries the zero vector"),
+        ],
+    )
+    @pytest.mark.parametrize("form", [dict, tuple, list, iter])
+    def test_every_refusal_and_its_message(self, edges, message, form):
+        # The checks run in this order: bounds, self-loop, dimension, zero
+        # vector, duplicate; the cases that fail two checks pin the order.
+        omega = DimensionFunction.of(2, 1)
+        items = [(i, j, GF2Vector.from_string(w)) for i, j, w in edges]
+        weights = {(i, j): w for i, j, w in items} if form is dict else form(items)
+        with pytest.raises(ValueError) as err:
+            VWDigraph(omega, weights)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("form", [tuple, list, iter])
+    def test_duplicate_edge_refused(self, form):
+        # A Mapping cannot repeat a key; only an iterable of triples can.
+        omega = DimensionFunction.of(2, 1)
+        ten, one = GF2Vector.from_string("10"), GF2Vector.from_string("1")
+        for items in ([(1, 2, ten), (1, 2, ten)], [(2, 1, one), (1, 2, ten), (2, 1, one)]):
+            with pytest.raises(ValueError) as err:
+                VWDigraph(omega, form(items))
+            assert str(err.value) == f"duplicate edge ({items[0][0]},{items[0][1]})"
+        with pytest.raises(ValueError) as err:  # zero vector comes before duplicate
+            VWDigraph(omega, form([(1, 2, ten), (1, 2, GF2Vector.zero(2))]))
+        assert str(err.value) == "edge (1,2) carries the zero vector"
+
+    @pytest.mark.parametrize("form", [dict, tuple, list, iter])
+    def test_accepted_forms_give_one_key(self, form):
+        omega = DimensionFunction.of(2, 1, 3)
+        items = [
+            (3, 1, GF2Vector.from_string("011")),
+            (1, 2, GF2Vector.from_string("10")),
+            (2, 3, GF2Vector.from_string("1")),
+        ]
+        weights = {(i, j): w for i, j, w in items} if form is dict else form(items)
+        assert VWDigraph(omega, weights).key == (0, 1, 0, 0, 0, 1, 6, 0, 0)
+
     def test_key_and_derived_views(self):
         omega = DimensionFunction.of(2, 40)
         ten = GF2Vector.from_string("10")
