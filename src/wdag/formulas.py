@@ -137,20 +137,28 @@ def orbit_count(size: int, generators: Iterable[tuple[object, Iterable[int]]]) -
     """Orbits of a group action on the points 0..size-1, from generator
     closure with union-find over a flat parent list.  Each generator comes
     as a (generator, images) pair, its images those of points 0, 1, ...,
-    size-1 in turn."""
+    size-1 in turn; a stream of any other length is refused."""
     if size > ORACLE_POINT_BUDGET:
         raise BudgetError("Burnside oracle", "{} points", size, ORACLE_POINT_BUDGET)
     parent = list(range(size))
-    for _, images in generators:
-        for x, y in enumerate(images):
-            if x == y:
+    for generator, images in generators:
+        images = iter(images)
+        i = -1
+        for i, y in zip(range(size), images):
+            if i == y:
                 continue
+            x = i
             while parent[x] != x:  # find with path halving
                 parent[x] = x = parent[parent[x]]
             while parent[y] != y:
                 parent[y] = y = parent[parent[y]]
             if x != y:
                 parent[y] = x
+        held = i + 1 + sum(1 for _ in images)
+        if held != size:
+            raise ValueError(
+                f"generator {generator!r}: stream holds {held} images, expected {size}"
+            )
     return sum(1 for x, p in enumerate(parent) if x == p)
 
 
@@ -175,9 +183,13 @@ def _vector_table(sigma: Permutation, n: int) -> tuple[list[int], int]:
     return table, mask
 
 
-def _transpositions(size: int) -> list[Permutation]:
-    """The adjacent transpositions (t t+1), which generate S_size."""
-    return [Permutation.transposition(size, t, t + 1) for t in range(1, size)]
+def _generating_pair(size: int) -> list[Permutation]:
+    """(1 2) and the cycle (1 2 ... size), which generate S_size; at size 2
+    the two coincide, so (1 2) alone."""
+    swap = Permutation.transposition(size, 1, 2)
+    if size == 2:
+        return [swap]
+    return [swap, Permutation.from_cycles(size, range(1, size + 1))]
 
 
 def _pair_images(table_v: list[int], table_w: list[int]) -> Iterator[int]:
@@ -197,7 +209,7 @@ def _swap_images(n: int) -> Iterator[int]:
 
 def _outstar_streams(n: int):
     """Each generator of the out-star action, with its image stream."""
-    for sigma in _transpositions(n + 1):
+    for sigma in _generating_pair(n + 1):
         table, _ = _vector_table(sigma, n)
         yield sigma, _pair_images(table, table)
 
@@ -235,7 +247,7 @@ def _unordered_instar_streams(n: int):
     yield None, _swap_images(n)
     identity = Permutation.identity(n + 1)
     fixed = list(range(1 << n))
-    for sigma in _transpositions(n + 1):
+    for sigma in _generating_pair(n + 1):
         table, _ = _vector_table(sigma, n)
         yield (sigma, identity), _pair_images(table, fixed)
         yield (identity, sigma), _pair_images(fixed, table)
@@ -275,11 +287,11 @@ def _path_images(sigma_table: tuple[list[int], int], tb: list[int]) -> Iterator[
 
 def _path_streams(n: int, m: int):
     """Each generator (sigma, beta) of the path-family action, with its
-    image stream: the mid-vertex transpositions, then the source's."""
+    image stream: the mid-vertex pair, then the source's."""
     id_n = Permutation.identity(n + 1)
     id_m = Permutation.identity(m + 1)
-    gens = [(sigma, id_m) for sigma in _transpositions(n + 1)]
-    gens += [(id_n, beta) for beta in _transpositions(m + 1)]
+    gens = [(sigma, id_m) for sigma in _generating_pair(n + 1)]
+    gens += [(id_n, beta) for beta in _generating_pair(m + 1)]
     for sigma, beta in gens:
         beta_table, _ = _vector_table(beta, m)
         yield (sigma, beta), _path_images(_vector_table(sigma, n), beta_table)

@@ -12,12 +12,13 @@ from wdag.formulas import (
     FAMILY_SINGLE,
     TripleCountBreakdown,
     _exact_div,
+    _generating_pair,
     _outstar_streams,
     _pair_images,
     _path_images,
     _path_streams,
+    _swap_images,
     _top_action,
-    _transpositions,
     _unordered_instar_streams,
     _unordered_outstar_streams,
     _vector_table,
@@ -70,7 +71,8 @@ class TestOutstar:
         for n in range(1, 13):
             assert outstar_term(n) == count_outstar_classes(n)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    # n = 8, 255^2 = 65,025 points, is the largest the point budget admits.
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
     def test_oracle_matches(self, n):
         assert outstar_orbit_oracle(n) == count_outstar_classes(n)
 
@@ -94,9 +96,15 @@ class TestUnorderedOutstar:
         values = [count_unordered_outstar_classes(n) for n in range(1, 7)]
         assert values == [1, 2, 5, 7, 12, 16]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", (*range(1, 7), 8))
     def test_oracle_matches(self, n):
         assert unordered_outstar_orbit_oracle(n) == count_unordered_outstar_classes(n)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_whole_group_agrees_with_generators(self, n):
+        size = ((1 << n) - 1) ** 2
+        streams = _unordered_outstar_group_streams(n)
+        assert orbit_count(size, streams) == unordered_outstar_orbit_oracle(n)
 
     def test_every_branch_divides_exactly(self):
         for n in range(1, 17):
@@ -117,6 +125,12 @@ class TestUnorderedInstar:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_oracle_matches(self, n):
         assert unordered_instar_orbit_oracle(n) == count_unordered_instar_classes(n)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_whole_group_agrees_with_generators(self, n):
+        size = ((1 << n) - 1) ** 2
+        streams = _unordered_instar_group_streams(n)
+        assert orbit_count(size, streams) == unordered_instar_orbit_oracle(n)
 
     def test_oracle_budget(self):
         with pytest.raises(BudgetError) as err:
@@ -140,8 +154,9 @@ class TestPathFamily:
     @pytest.mark.parametrize(
         "n,m",
         [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
-        # at most 2^16 points, beyond the dimension-5 square
-        + [(6, 1), (6, 2), (1, 6), (2, 7), (8, 4), (11, 2)],
+        # at most 2^16 points, beyond the dimension-5 square; (15, 1) has
+        # 32,767 * 1 * 2 = 65,534, the most the point budget admits
+        + [(6, 1), (6, 2), (1, 6), (2, 7), (8, 4), (11, 2), (15, 1)],
     )
     def test_oracle_matches(self, n, m):
         assert path_orbit_oracle(n, m) == count_path_classes(n, m)
@@ -190,15 +205,38 @@ class TestInstar:
         }
 
 
-# The whole group S_{n+1} (times S_{m+1} for the path family), each element
-# compiled as the oracles compile their generators, the adjacent
-# transpositions.  The orbits must not depend on the choice of generators.
+# The whole group S_{n+1} (times S_{m+1} for the path family, times the swap
+# of two equal ends for the unordered families), each element compiled as
+# the oracles compile their generators, (1 2) and the (n+1)-cycle.  The
+# orbits must not depend on the choice of generators.
 
 
 def _outstar_group_streams(n):
     for sigma in all_permutations(n + 1):
         table, _ = _vector_table(sigma, n)
         yield sigma, _pair_images(table, table)
+
+
+def _with_swap(n, streams):
+    """Each element of the streams, then each composed with the swap of the
+    two weights."""
+    swap = list(_swap_images(n))
+    for g, images in streams:
+        images = list(images)
+        yield (g, False), images
+        yield (g, True), [swap[y] for y in images]
+
+
+def _unordered_outstar_group_streams(n):
+    return _with_swap(n, _outstar_group_streams(n))
+
+
+def _unordered_instar_group_streams(n):
+    tables = [(sigma, _vector_table(sigma, n)[0]) for sigma in all_permutations(n + 1)]
+    return _with_swap(
+        n,
+        (((s, t), _pair_images(ts, tt)) for s, ts in tables for t, tt in tables),
+    )
 
 
 def _path_group_streams(n, m):
@@ -328,14 +366,14 @@ class TestCompiledActions:
         streams = _outstar_group_streams(n) if whole_group else _outstar_streams(n)
         gens = _assert_streams_match(streams, _pair_space(n), _outstar_act(n))
         if not whole_group:
-            assert gens == _transpositions(n + 1)
+            assert gens == _generating_pair(n + 1)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_unordered_outstar(self, n):
         gens = _assert_streams_match(
             _unordered_outstar_streams(n), _pair_space(n), _unordered_outstar_act(n)
         )
-        assert gens == [None, *_transpositions(n + 1)]
+        assert gens == [None, *_generating_pair(n + 1)]
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_unordered_instar(self, n):
@@ -345,7 +383,7 @@ class TestCompiledActions:
         identity = Permutation.identity(n + 1)
         per_source = [
             pair
-            for sigma in _transpositions(n + 1)
+            for sigma in _generating_pair(n + 1)
             for pair in ((sigma, identity), (identity, sigma))
         ]
         assert gens == [None, *per_source]
@@ -368,8 +406,32 @@ class TestCompiledActions:
         if not whole_group:
             id_n = Permutation.identity(n + 1)
             id_m = Permutation.identity(m + 1)
-            assert gens == [(s, id_m) for s in _transpositions(n + 1)] + [
-                (id_n, b) for b in _transpositions(m + 1)
+            assert gens == [(s, id_m) for s in _generating_pair(n + 1)] + [
+                (id_n, b) for b in _generating_pair(m + 1)
+            ]
+
+
+def _generated_group(generators):
+    """Every product of the generators, found breadth first from the identity."""
+    found = {Permutation.identity(generators[0].degree)}
+    frontier = found
+    while frontier:
+        frontier = {s.compose(g) for g in frontier for s in generators} - found
+        found |= frontier
+    return found
+
+
+class TestGeneratingPair:
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_closure_is_the_whole_symmetric_group(self, size):
+        assert _generated_group(_generating_pair(size)) == set(all_permutations(size))
+
+    def test_shape(self):
+        assert _generating_pair(2) == [Permutation.transposition(2, 1, 2)]
+        for size in range(3, 8):
+            assert _generating_pair(size) == [
+                Permutation.transposition(size, 1, 2),
+                Permutation.from_cycles(size, range(1, size + 1)),
             ]
 
 
@@ -387,6 +449,13 @@ class TestOrbitCount:
         # Transpositions joining 0-1, 3-4 and 1-3 leave orbits {0,1,3,4}, {2}.
         joins = {"0-1": [1, 0, 2, 3, 4], "3-4": [0, 1, 2, 4, 3], "1-3": [0, 3, 2, 1, 4]}
         assert orbit_count(5, joins.items()) == 2
+
+    @pytest.mark.parametrize("images,held", [([1, 0, 2, 4], 4), ([1, 0, 2, 4, 3, 5], 6)])
+    def test_stream_of_the_wrong_length_is_refused(self, images, held):
+        streams = [("3-4", [0, 1, 2, 4, 3]), ("bad", images)]
+        with pytest.raises(ValueError) as err:
+            orbit_count(5, streams)
+        assert str(err.value) == f"generator 'bad': stream holds {held} images, expected 5"
 
     def test_orbit_count_budget_is_the_exact_size(self):
         assert orbit_count(2**16, []) == 2**16
