@@ -232,10 +232,13 @@ def reduced_matrix(g: VWDigraph) -> VectorMatrix:
     """Adjacency matrix plus the all-ones diagonal; requires an acyclic graph."""
     if not is_acyclic(g):
         raise ValueError("reduced matrix is only defined for acyclic graphs")
-    entries = {(i, j): w for i, j, w in g.edges}
-    for v in range(1, g.omega.m + 1):
-        entries[(v, v)] = GF2Vector.all_ones(g.omega.dim(v))
-    return VectorMatrix.from_entries(g.omega, entries)
+    dims = g.omega.dims
+    m = len(dims)
+    key = list(g.key)
+    for s, d in enumerate(dims):
+        key[s * m + s] = (1 << d) - 1
+    entries = list(map(_ByBits.__getitem__, _position_tables(GF2Vector, dims), key))
+    return VectorMatrix(g.omega, tuple(tuple(entries[p : p + m]) for p in range(0, m * m, m)))
 
 
 def specialize(a: VectorMatrix, ks: Sequence[int]) -> GF2Matrix:
@@ -262,8 +265,21 @@ def has_unit_principal_minors(a: VectorMatrix) -> bool:
     for i in range(1, m + 1):
         if a.entry(i, i).bits != (1 << a.omega.dim(i)) - 1:
             return False
-    for ks in product(*(range(1, a.omega.dim(i) + 1) for i in range(1, m + 1))):
-        if not all_principal_minors_one(specialize(a, ks)):
+    # choices[i][k - 1] is row i + 1 of the specialization picking
+    # coordinate k there, as specialize builds it; the specializations are
+    # their product, in the order of the coordinate tuples.
+    choices = []
+    for row, d in zip(a.rows, a.omega.dims):
+        picks = [0] * d
+        for j, w in enumerate(row):
+            bits = w.bits
+            while bits:
+                low = bits & -bits
+                picks[low.bit_length() - 1] |= 1 << j
+                bits ^= low
+        choices.append(picks)
+    for rows in product(*choices):
+        if not all_principal_minors_one(GF2Matrix(m, rows)):
             return False
     return True
 
@@ -272,13 +288,15 @@ def graph_from_reduced(a: VectorMatrix) -> VWDigraph:
     """Inverse of reduced_matrix: nonzero off-diagonal entries become edges."""
     if not has_unit_principal_minors(a):
         raise ValueError("matrix has a principal minor unequal to 1")
-    m = a.omega.m
-    weights = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j and not a.entry(i, j).is_zero:
-                weights[(i, j)] = a.entry(i, j)
-    return VWDigraph(a.omega, weights)
+    return VWDigraph(
+        a.omega,
+        tuple(
+            (i, j, w)
+            for i, row in enumerate(a.rows, start=1)
+            for j, w in enumerate(row, start=1)
+            if i != j and w.bits
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ turns one into the other.  An orbit is a union of facet orbits, the
 closures under the facet moves, which relabellings carry whole onto each
 other; `orbit` finds one so, with the public moves.  An independent
 oracle realizes each single-vertex move as a facet permutation acting on
-the full characteristic matrix followed by GF(2) row reduction.  Classes
+the columns of the characteristic matrix followed by GF(2) row
+reduction.  Classes
 are found by sweeping all acyclic graphs with `orbit`, or one
 reachability poset at a time, inside the graphs whose support closes to
 it: the slicer numbers each slice as a product space, compiles the facet
@@ -155,33 +156,36 @@ def reorder_vertices(g: VWDigraph, mu: Permutation) -> VWDigraph:
 
 
 @lru_cache(maxsize=None)
-def _scalar_layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Row i of [I_n | R] is coordinate i - starts[s] + 1 of vertex s + 1,
-    s = owner[i]; n is the total dimension."""
-    owner = tuple(s for s, d in enumerate(dims) for _ in range(d))
-    return owner, tuple(owner.index(s) for s in range(len(dims))), len(owner)
+def _scalar_layout(
+    dims: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...], int, int]:
+    """Where [I_n | R] keeps what; n is the total dimension.  Row i is
+    coordinate i - starts[s] + 1 of vertex s + 1.  Column t of R is an
+    n-bit int over the rows, held at bit t*n of one int with all m
+    columns, so entry (s+1, t+1), key position s*m + t, is the bits at
+    (shift, mask) = entries[s*m + t].  ones has bit 0 of every column, so
+    columns >> i & ones is row i; diagonal is R's all-ones diagonal."""
+    m, n = len(dims), sum(dims)
+    starts = tuple(sum(dims[:s]) for s in range(m))
+    entries = tuple(
+        (t * n + start, (1 << d) - 1) for start, d in zip(starts, dims) for t in range(m)
+    )
+    ones = sum(1 << t * n for t in range(m))
+    diagonal = sum(mask << shift for shift, mask in entries[:: m + 1])
+    return starts, n, entries, ones, diagonal
 
 
 @lru_cache(maxsize=1)
-def _characteristic_rows(dims: tuple[int, ...], key: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The rows of [I_n | R] for the graph with this key, or None when it
-    is cyclic.  Callers apply every (v, sigma) to one graph in a row, so
-    one entry is enough."""
+def _characteristic_columns(dims: tuple[int, ...], key: tuple[int, ...]) -> int | None:
+    """The columns of R in [I_n | R] for the graph with this key, packed
+    as _scalar_layout places them, or None when it is cyclic.  Callers
+    apply every (v, sigma) to one graph in a row, so one entry is enough."""
     if not is_acyclic(VWDigraph._from_key(DimensionFunction(dims), key)):
         return None
-    owner, starts, n = _scalar_layout(dims)
-    m = len(dims)
-    # Row i has its unit bit, and bit n + t when coordinate i - starts[s] + 1
-    # of entry (s+1, t+1) of R is 1.  The diagonal entry of R is all ones.
-    rows = [1 << i | 1 << (n + s) for i, s in enumerate(owner)]
-    for p, bits in enumerate(key):
-        if bits:
-            s, t = divmod(p, m)
-            while bits:
-                low = bits & -bits
-                rows[starts[s] + low.bit_length() - 1] |= 1 << (n + t)
-                bits ^= low
-    return tuple(rows)
+    _, _, entries, _, columns = _scalar_layout(dims)
+    for (shift, _), bits in zip(entries, key):
+        columns |= bits << shift
+    return columns
 
 
 def facet_permutation_action(
@@ -189,13 +193,24 @@ def facet_permutation_action(
 ) -> VWDigraph:
     """Apply a permutation of the dim(v)+1 facets of the simplex factor at v.
 
-    Builds the block matrix [I_n | R] whose right part is the reduced
-    matrix of g written out in scalar coordinates, permutes the columns
-    belonging to v's factor by sigma_full, row-reduces back to the form
-    [I_n | R'] over GF(2), and reads the image graph off R'.  This is
-    the ground truth the combinatorial moves are checked against:
-    sigma_full fixing dim(v)+1 must act as an out-weight permutation,
-    anything else as a (sigma, k)-local complementation.
+    The columns of [I_n | R], R the reduced matrix of g written out in
+    scalar coordinates, are the facets: facet k <= d = dim(v) of v's
+    factor is the unit column of v's coordinate k, facet d+1 is column v
+    of R.  The new facet-k column is the old facet-sigma_full(k) one; the
+    result is row-reduced back to [I_n | R'] over GF(2) and the image
+    graph read off R'.  This is the ground truth the combinatorial moves
+    are checked against: sigma_full fixing dim(v)+1 must act as an
+    out-weight permutation, anything else as a (sigma, k)-local
+    complementation.
+
+    Only v's d columns leave I_n, so over (v's rows, the other rows) the
+    left block is M = [[A, 0], [B, I]].  A's columns are distinct unit
+    vectors, except that a facet given the old top column gets R's
+    all-ones diagonal entry at v; either way A is invertible, and B is
+    zero but in that one column, which holds the weights into v.  So
+    M^-1 = [[A^-1, 0], [B A^-1, I]], and as the reduced form is unique,
+    reducing A alone is exact: every right column y becomes
+    x_v = A^-1 y_v on v's rows and y_o + B x_v on the others.
     """
     dim_v = g.omega.dim(v)
     if sigma_full.degree != dim_v + 1:
@@ -204,51 +219,59 @@ def facet_permutation_action(
         )
     omega = g.omega
     dims = omega.dims
-    characteristic = _characteristic_rows(dims, g.key)
-    if characteristic is None:
+    columns = _characteristic_columns(dims, g.key)
+    if columns is None:
         raise ValueError("the facet action is defined for acyclic graphs only")
-    owner, starts, n = _scalar_layout(dims)
-    m = len(dims)
-    rows = list(characteristic)
+    starts, n, entries, ones, diagonal = _scalar_layout(dims)
+    start = starts[v - 1]
+    images = sigma_full.images
 
-    # Facet k of v's factor is column starts[v-1] + k - 1, the last one
-    # column n + v - 1; the new facet-k column is the old facet-sigma(k) one.
-    # A row with bits there takes them out as one (d+1)-bit field.
-    start, top = starts[v - 1], n + v - 1
-    low_mask = (1 << dim_v) - 1
-    moved = low_mask << start | 1 << top
-    for r, row in enumerate(rows):
-        if row & moved:
-            field = row >> start & low_mask | (row >> top & 1) << dim_v
-            field = permute_bits(sigma_full.images, field)
-            rows[r] = row & ~moved | (field & low_mask) << start | (field >> dim_v) << top
+    # Row j of A has bit k when the old facet images[k] column is 1 in
+    # v's row j: the unit column of row images[k] - 1, or every row for
+    # the top facet, whose column is R's column v.
+    a = [0] * dim_v
+    ones_column = 0
+    for k in range(dim_v):
+        if images[k] > dim_v:
+            ones_column = 1 << k
+        else:
+            a[images[k] - 1] = 1 << k
+    if ones_column:
+        a = [row | ones_column for row in a]
+        # R's column v leaves for A and B; the unit column of the facet
+        # the top one goes to takes its place.
+        shift = (v - 1) * n
+        column_v = columns >> shift & (1 << n) - 1
+        into_v = column_v & ~(((1 << dim_v) - 1) << start)
+        columns ^= (column_v ^ 1 << start + images[dim_v] - 1) << shift
 
-    # Gauss-Jordan the first n columns to the identity.
-    for col in range(n):
-        mask = 1 << col
-        if not rows[col] & mask:
-            pivot = next((r for r in range(col + 1, n) if rows[r] & mask), None)
+    # Gauss-Jordan A to the identity, pivots from v's rows, and apply
+    # each row operation to all right columns at once.
+    for c in range(dim_v):
+        bit = 1 << c
+        if not a[c] & bit:
+            pivot = next((r for r in range(c + 1, dim_v) if a[r] & bit), None)
             if pivot is None:
                 raise ValueError("facet-permuted matrix is singular; input invalid")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        pivot_row = rows[col]
-        for r, row in enumerate(rows):
-            if row & mask and r != col:
-                rows[r] = row ^ pivot_row
+            a[c], a[pivot] = a[pivot], a[c]
+            swap = ((columns >> start + c) ^ (columns >> start + pivot)) & ones
+            columns ^= swap << start + c | swap << start + pivot
+        for r in range(dim_v):
+            if r != c and a[r] & bit:
+                a[r] ^= a[c]
+                columns ^= (columns >> start + c & ones) << start + r
+    if ones_column:
+        # x_o = y_o + B x_v: add the weights into v to each column whose
+        # x_v has the bit of A's all-ones column.  The product puts one
+        # copy of into_v (< 2**n) at bit t*n per such column t.
+        columns ^= (columns >> start + ones_column.bit_length() - 1 & ones) * into_v
 
-    image = [0] * (m * m)
-    for i, s in enumerate(owner):
-        coordinate = 1 << (i - starts[s])
-        bits = rows[i] >> n
-        while bits:
-            low = bits & -bits
-            image[s * m + low.bit_length() - 1] |= coordinate
-            bits ^= low
-    for s, d in enumerate(dims):
-        if image[s * m + s] != (1 << d) - 1:
-            raise ValueError("image matrix lost its unit diagonal")
-        image[s * m + s] = 0
-    return VWDigraph._from_key(omega, tuple(image))
+    if columns & diagonal != diagonal:
+        raise ValueError("image matrix lost its unit diagonal")
+    columns ^= diagonal
+    return VWDigraph._from_key(
+        omega, tuple([columns >> shift & mask for shift, mask in entries])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -290,11 +290,15 @@ def _path_streams(n: int, m: int):
     image stream: the mid-vertex pair, then the source's."""
     id_n = Permutation.identity(n + 1)
     id_m = Permutation.identity(m + 1)
-    gens = [(sigma, id_m) for sigma in _generating_pair(n + 1)]
-    gens += [(id_n, beta) for beta in _generating_pair(m + 1)]
-    for sigma, beta in gens:
+    # Each identity table is compiled once and shared by the other side's
+    # generators.
+    fixed_n = _vector_table(id_n, n)
+    fixed_m, _ = _vector_table(id_m, m)
+    for sigma in _generating_pair(n + 1):
+        yield (sigma, id_m), _path_images(_vector_table(sigma, n), fixed_m)
+    for beta in _generating_pair(m + 1):
         beta_table, _ = _vector_table(beta, m)
-        yield (sigma, beta), _path_images(_vector_table(sigma, n), beta_table)
+        yield (id_n, beta), _path_images(fixed_n, beta_table)
 
 
 def path_orbit_oracle(n: int, m: int) -> int:

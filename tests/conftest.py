@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -17,6 +19,15 @@ def pytest_terminal_summary(terminalreporter):
             acceptance_lines, key=lambda s: int(s.split(":")[0].rsplit(" ", 1)[1])
         ):
             terminalreporter.write_line(line)
+
+
+def census_classes(dims: str) -> str:
+    """The class count pinned for one shape in the census file."""
+    census = Path(__file__).parent / "data" / "class_census.txt"
+    for line in census.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#") and line.split()[0] == dims:
+            return line.split()[2]
+    raise KeyError(dims)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import census_classes
 from wdag import cli, equivalence, formulas
 from wdag.cli import main
 from wdag.digraph import DimensionFunction, enumerate_acyclic, graph_to_json
@@ -19,15 +20,6 @@ FIG_GRAPH = {
         {"from": 4, "to": 3, "weight": "101"},
     ],
 }
-
-
-def census_classes(dims: str) -> str:
-    """The class count pinned for one shape in the census file."""
-    census = Path(__file__).parent / "data" / "class_census.txt"
-    for line in census.read_text(encoding="utf-8").splitlines():
-        if not line.startswith("#") and line.split()[0] == dims:
-            return line.split()[2]
-    raise KeyError(dims)
 
 
 def whole_space_sweep(omega):

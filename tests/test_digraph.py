@@ -24,6 +24,7 @@ from wdag.digraph import (
     is_acyclic,
     reduced_matrix,
     scalar_reduced_matrices,
+    specialize,
 )
 from wdag.equivalence import local_complement
 from wdag.gf2 import GF2Matrix, GF2Vector, gf2_det, all_principal_minors_one
@@ -211,7 +212,74 @@ class TestGraphBasics:
             reduced_matrix(g)
 
 
+# The membership test as it was before it built each row's specializations
+# once per matrix: one specialize call per coordinate tuple.  Kept as an
+# independent reference; it calls the principal-minor test through
+# digraph's binding, as has_unit_principal_minors does.
+def reference_has_unit_principal_minors(a: VectorMatrix) -> bool:
+    m = a.omega.m
+    for i in range(1, m + 1):
+        if a.entry(i, i).bits != (1 << a.omega.dim(i)) - 1:
+            return False
+    for ks in product(*(range(1, a.omega.dim(i) + 1) for i in range(1, m + 1))):
+        if not digraph.all_principal_minors_one(specialize(a, ks)):
+            return False
+    return True
+
+
+def _seeded_unit_diagonal_matrices(dims, count, seed):
+    """Unit-diagonal matrices with random off-diagonal entries, half of them
+    supported on a random acyclic order, so both answers occur."""
+    rng = random.Random(seed)
+    omega = DimensionFunction(dims)
+    m = omega.m
+    for index in range(count):
+        rank = rng.sample(range(m), m)
+        entries = {(i, i): GF2Vector.all_ones(omega.dim(i)) for i in range(1, m + 1)}
+        for i, j in permutations(range(1, m + 1), 2):
+            if index % 2 == 0 or rank[i - 1] < rank[j - 1]:
+                entries[(i, j)] = GF2Vector(omega.dim(i), rng.randrange(1 << omega.dim(i)))
+        yield VectorMatrix.from_entries(omega, entries)
+
+
 class TestMembership:
+    @staticmethod
+    def _calls_and_answers(monkeypatch, matrices):
+        """Per matrix: the answer and the matrices handed to the principal-
+        minor test, by has_unit_principal_minors and by the reference."""
+        seen = []
+
+        def recording(m):
+            seen.append(m)
+            return all_principal_minors_one(m)
+
+        monkeypatch.setattr(digraph, "all_principal_minors_one", recording)
+        for a in matrices:
+            runs = []
+            for check in (has_unit_principal_minors, reference_has_unit_principal_minors):
+                seen.clear()
+                runs.append((check(a), list(seen)))
+            yield runs
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (1, 1, 2)])
+    def test_matches_the_reference_on_every_matrix(self, dims, monkeypatch):
+        answers = set()
+        for new, reference in self._calls_and_answers(
+            monkeypatch, all_vector_matrices(DimensionFunction(dims))
+        ):
+            assert new == reference
+            answers.add(new[0])
+        assert answers == {True, False}
+
+    def test_matches_the_reference_on_seeded_matrices(self, monkeypatch):
+        answers = []
+        for new, reference in self._calls_and_answers(
+            monkeypatch, _seeded_unit_diagonal_matrices((2, 2, 2, 2), 500, seed=25)
+        ):
+            assert new == reference
+            answers.append(new[0])
+        assert 0 < sum(answers) < len(answers)
+
     def test_exactly_three_members_for_1_1(self):
         omega = DimensionFunction.of(1, 1)
         members = [a for a in all_vector_matrices(omega) if has_unit_principal_minors(a)]

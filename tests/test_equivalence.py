@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import census_classes
 from wdag import digraph, equivalence
 from wdag.digraph import (
     BudgetError,
@@ -280,7 +281,12 @@ class TestMatrixActionOracle:
                     assert facet_permutation_action(g, v, sigma_full) == expected
                     assert facet_move(v, sigma_full)(g) == expected
 
-    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 2), (2, 2), (3, 1), (1, 1, 1, 1)]
+        # v first, in the middle and last, and widths up to 4
+        + [(3, 2, 1), (2, 1, 2), (2, 2, 2), (1, 4), (4, 1)],
+    )
     def test_matches_the_reference_row_reduction(self, dims):
         omega = DimensionFunction(dims)
         for g in enumerate_acyclic(omega):
@@ -549,9 +555,11 @@ class TestClassCounts:
         assert count_equivalence_classes(DimensionFunction.of(1, 1, 1)) == 5
 
     def test_four_unit_vertices_regression(self):
-        # No closed form at four vertices; 19 is the frozen orbit count of
-        # the 543 graphs, pinned to catch generator regressions.
-        assert count_equivalence_classes(DimensionFunction.of(1, 1, 1, 1)) == 19
+        # No closed form at four vertices; the census pins the orbit count
+        # of the 543 graphs to catch generator regressions.
+        assert count_equivalence_classes(DimensionFunction.of(1, 1, 1, 1)) == int(
+            census_classes("1,1,1,1")
+        )
 
     @pytest.mark.parametrize("dims", SWEEP_SHAPES)
     def test_orbits_partition_the_space(self, dims):

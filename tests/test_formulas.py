@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from wdag import formulas
 from wdag.digraph import BudgetError, DimensionFunction
 from wdag.equivalence import count_equivalence_classes, orbits
 from wdag.formulas import (
@@ -165,6 +166,25 @@ class TestPathFamily:
     def test_whole_group_agrees_with_generators(self, n, m):
         size = ((1 << n) - 1) * ((1 << m) - 1) << m
         assert orbit_count(size, _path_group_streams(n, m)) == path_orbit_oracle(n, m)
+
+    @pytest.mark.parametrize(
+        "n,m", [*product(range(1, 6), repeat=2), (15, 1), (8, 4)]
+    )
+    def test_each_table_compiled_once(self, n, m, monkeypatch):
+        # One table per generator, plus one identity table per side that
+        # the other side's generators share.
+        compiled = []
+
+        def counting(sigma, dim):
+            compiled.append((sigma, dim))
+            return _vector_table(sigma, dim)
+
+        monkeypatch.setattr(formulas, "_vector_table", counting)
+        assert path_orbit_oracle(n, m) == count_path_classes(n, m)
+        identities = [(Permutation.identity(n + 1), n), (Permutation.identity(m + 1), m)]
+        generators = [(s, n) for s in _generating_pair(n + 1)]
+        generators += [(b, m) for b in _generating_pair(m + 1)]
+        assert sorted(compiled, key=repr) == sorted(identities + generators, key=repr)
 
     def test_oracle_budget(self):
         # 31 * 63 * 64 points; (8, 4) has 61,200.
