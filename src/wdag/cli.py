@@ -22,6 +22,7 @@ from .digraph import (
     count_dags,
     dumps_graph,
     enumerate_acyclic,
+    enumerate_lines,
     graph_from_json,
     scalar_reduced_matrices,
     derangement_sum,
@@ -131,10 +132,10 @@ _ENUMERATE_BLOCK = 64
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be at least 0, got {args.limit}")
-    graphs = enumerate_acyclic(_parse_omega(args.omega))
-    # The first graph (the empty one) is pulled before --limit applies, so a
+    lines = enumerate_lines(_parse_omega(args.omega))
+    # The first line (the empty graph) is pulled before --limit applies, so a
     # refused shape is refused even under --limit 0.
-    lines = map(dumps_graph, islice(chain((next(graphs),), graphs), args.limit))
+    lines = islice(chain((next(lines),), lines), args.limit)
     write = sys.stdout.write
     while block := list(islice(lines, _ENUMERATE_BLOCK)):
         block.append("")  # so the join ends the last line too, without a copy

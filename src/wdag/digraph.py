@@ -279,7 +279,7 @@ def has_unit_principal_minors(a: VectorMatrix) -> bool:
                 bits ^= low
         choices.append(picks)
     for rows in product(*choices):
-        if not all_principal_minors_one(GF2Matrix(m, rows)):
+        if not all_principal_minors_one(GF2Matrix._from_packed(m, rows)):
             return False
     return True
 
@@ -385,15 +385,17 @@ def scalar_reduced_matrices(m: int) -> Iterator[GF2Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
-    """Every acyclic weighted digraph exactly once, in increasing ``serial``.
+def _acyclic_rows(omega: DimensionFunction, piece, empty) -> Iterator:
+    """The one search behind ``enumerate_acyclic`` and ``enumerate_lines``:
+    for every acyclic graph, in increasing ``serial``, the ``+``-sum from
+    ``empty`` of ``piece(i, j, bits)`` over its edges in row-major order.
 
     ``serial`` joins fixed-width strings, one per key position, in
     row-major order, so serial order is the lexicographic order of rows
     1..m.  The search chooses rows 1..m in turn.  A cycle among rows 1..i
     passes through its highest vertex i, so row i may not point at a
     vertex that already reaches i; that set always holds i itself, the
-    diagonal.  Graphs are streamed, never stored; a refusal is raised at
+    diagonal.  Payloads are streamed, never stored; a refusal is raised at
     the first ``next()``.
     """
     size = count_acyclic(omega)
@@ -401,32 +403,30 @@ def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
         raise BudgetError("enumeration", "{} acyclic graphs", size, ITEM_BUDGET)
     dims = omega.dims
     last = omega.m - 1
-    weights = {}  # dimension -> its nonzero weights, sorted by bit string
+    weights = {}  # dimension -> the bits of its nonzero weights, by bit string
     allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
 
-    def rows(i: int, blocked: int) -> list[tuple[int, tuple]]:
-        """Row i+1 in serial order, as (out-set bitmask, edge items): a
-        product over its positions of no edge, then each weight unless the
-        position is blocked.  One GF2Vector per weight is shared by every
-        row and every graph."""
+    def rows(i: int, blocked: int) -> list[tuple[int, object]]:
+        """Row i+1 in serial order, as (out-set bitmask, payload): a product
+        over its positions of no edge, then each weight unless the position
+        is blocked.  Each piece is made once per row table."""
         d = dims[i]
         free = [j for j in range(len(dims)) if not blocked >> j & 1]
         if free and d not in weights:
-            order = sorted(range(1, 1 << d), key=partial(bit_string, d))
-            weights[d] = [GF2Vector(d, bits) for bits in order]
-        choices = [[(0, ())] for _ in dims]
+            weights[d] = sorted(range(1, 1 << d), key=partial(bit_string, d))
+        choices = [[(0, empty)] for _ in dims]
         for j in free:
-            choices[j] += [(1 << j, ((i + 1, j + 1, w),)) for w in weights[d]]
+            choices[j] += [(1 << j, piece(i + 1, j + 1, bits)) for bits in weights[d]]
         table = []
         for row in product(*choices):
-            mask, items = 0, ()
-            for bit, item in row:
+            mask, payload = 0, empty
+            for bit, part in row:
                 mask |= bit
-                items += item
-            table.append((mask, items))
+                payload += part
+            table.append((mask, payload))
         return table
 
-    def choose(i: int, masks: tuple[int, ...], prefix: tuple) -> Iterator[VWDigraph]:
+    def choose(i: int, masks: tuple[int, ...], prefix) -> Iterator:
         # Reverse search from vertex i+1 over the out-sets of rows 1..i.
         reach, grew = 1 << i, True
         while grew:
@@ -439,13 +439,42 @@ def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
         if table is None:
             table = allowed[(i, reach)] = rows(i, reach)
         if i == last:
-            for _, items in table:
-                yield VWDigraph(omega, prefix + items)
+            for _, payload in table:
+                yield prefix + payload
         else:
-            for out, items in table:
-                yield from choose(i + 1, masks + (out,), prefix + items)
+            for out, payload in table:
+                yield from choose(i + 1, masks + (out,), prefix + payload)
 
-    yield from choose(0, (), ())
+    yield from choose(0, (), empty)
+
+
+def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
+    """Every acyclic weighted digraph exactly once, in increasing ``serial``
+    (see ``_acyclic_rows``).  One GF2Vector per weight is shared by every
+    row and every graph."""
+    dims = omega.dims
+    vectors = {d: _ByBits(GF2Vector, d) for d in set(dims)}
+
+    def edge(i: int, j: int, bits: int) -> tuple[tuple[int, int, GF2Vector]]:
+        return ((i, j, vectors[dims[i - 1]][bits]),)
+
+    yield from map(partial(VWDigraph, omega), _acyclic_rows(omega, edge, ()))
+
+
+def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:
+    """``dumps_graph`` of each graph of ``enumerate_acyclic(omega)``, in the
+    same order, without building the graphs.  Each row-table edge is
+    rendered once, as its edge object and the ", " after it, so a line is
+    its rows' fragments side by side between the head and "]}"."""
+    dims = omega.dims
+    m = len(dims)
+    head, openings = _json_openings(dims)
+
+    def edge(i: int, j: int, bits: int) -> str:
+        return f'{openings[(i - 1) * m + j - 1]}{bit_string(dims[i - 1], bits)}"}}, '
+
+    for body in _acyclic_rows(omega, edge, ""):
+        yield head + body[:-2] + "]}"
 
 
 def count_acyclic(omega: DimensionFunction) -> int:
@@ -572,24 +601,23 @@ def graph_from_json(doc: dict) -> VWDigraph:
 
 
 @lru_cache(maxsize=None)
-def _json_openings(
-    dims: tuple[int, ...]
-) -> tuple[str, tuple[str, ...], tuple[_ByBits, ...]]:
-    """The start of a graph line, the start of the edge object at each key
-    position up to the opening quote of its weight, and the bit strings of
-    each position's weights: everything ``dumps_graph`` needs per shape."""
+def _json_openings(dims: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
+    """The start of a graph line and the start of the edge object at each
+    key position, up to the opening quote of its weight."""
     m = len(dims)
     head = f'{{"omega": {json.dumps(list(dims))}, "edges": ['
     openings = tuple(
         f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
     )
-    return head, openings, _position_tables(bit_string, dims)
+    return head, openings
 
 
 def dumps_graph(g: VWDigraph) -> str:
     """One JSON line, rendered from the key; byte-identical to
     ``json.dumps(graph_to_json(g), separators=(", ", ": "))``."""
-    head, openings, strings = _json_openings(g.omega.dims)
+    dims = g.omega.dims
+    head, openings = _json_openings(dims)
+    strings = _position_tables(bit_string, dims)
     return (
         head
         + ", ".join(

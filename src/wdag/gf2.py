@@ -100,6 +100,15 @@ class GF2Matrix:
             if not 0 <= r < (1 << self.n):
                 raise ValueError(f"row 0x{r:x} out of range for size {self.n}")
 
+    @classmethod
+    def _from_packed(cls, n: int, rows: tuple[int, ...]) -> "GF2Matrix":
+        """Trusted constructor for n packed rows that are in range by
+        construction inside the library: no checks."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "n", n)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"entry ({i},{j}) outside 1..{self.n}")

@@ -166,11 +166,17 @@ class TestEnumerate:
             assert main(["enumerate", "--omega", "2,2,3", "--limit", str(limit)]) == 0
             assert capsys.readouterr() == ("".join(reference[:limit]), "")
 
-    def test_lines_equal_the_reference_rendering(self, capsys):
-        assert main(["enumerate", "--omega", "1,1,2"]) == 0
+    # (63,) has only the empty body; (3,1,2) mixes unsorted dimensions.
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 1, 2), (1,), (63,), (2, 1), (3, 1, 2), (1, 1, 1, 1, 1)],
+        ids=lambda dims: ",".join(map(str, dims)),
+    )
+    def test_lines_equal_the_reference_rendering(self, capsys, dims):
+        assert main(["enumerate", "--omega", ",".join(map(str, dims))]) == 0
         assert capsys.readouterr().out == "".join(
             json.dumps(graph_to_json(g), separators=(", ", ": ")) + "\n"
-            for g in enumerate_acyclic(DimensionFunction.of(1, 1, 2))
+            for g in enumerate_acyclic(DimensionFunction(dims))
         )
 
     def test_closed_pipe_ends_quietly(self):
