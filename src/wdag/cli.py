@@ -450,8 +450,6 @@ def _table_rows(family: str, max_n: int) -> tuple[list[str], list[list]]:
                         n1, n2, n3
                     )
                     rows.append([n1, n2, n3, breakdown.total, breakdown.branch])
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown table family {family!r}")
     return header, rows
 
 

@@ -450,13 +450,12 @@ def _acyclic_rows(omega: DimensionFunction, piece, empty) -> Iterator:
 
 def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
     """Every acyclic weighted digraph exactly once, in increasing ``serial``
-    (see ``_acyclic_rows``).  One GF2Vector per weight is shared by every
-    row and every graph."""
+    (see ``_acyclic_rows``).  Each row-table edge makes its GF2Vector once;
+    the graphs keep only its bits."""
     dims = omega.dims
-    vectors = {d: _ByBits(GF2Vector, d) for d in set(dims)}
 
     def edge(i: int, j: int, bits: int) -> tuple[tuple[int, int, GF2Vector]]:
-        return ((i, j, vectors[dims[i - 1]][bits]),)
+        return ((i, j, GF2Vector(dims[i - 1], bits)),)
 
     yield from map(partial(VWDigraph, omega), _acyclic_rows(omega, edge, ()))
 
@@ -468,7 +467,11 @@ def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:
     its rows' fragments side by side between the head and "]}"."""
     dims = omega.dims
     m = len(dims)
-    head, openings = _json_openings(dims)
+    head = dumps_graph(VWDigraph(omega))[:-2]
+    # Each key position's edge object, up to the opening quote of its weight.
+    openings = [
+        f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
+    ]
 
     def edge(i: int, j: int, bits: int) -> str:
         return f'{openings[(i - 1) * m + j - 1]}{bit_string(dims[i - 1], bits)}"}}, '
@@ -600,28 +603,6 @@ def graph_from_json(doc: dict) -> VWDigraph:
     return VWDigraph(omega, weights)
 
 
-@lru_cache(maxsize=None)
-def _json_openings(dims: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
-    """The start of a graph line and the start of the edge object at each
-    key position, up to the opening quote of its weight."""
-    m = len(dims)
-    head = f'{{"omega": {json.dumps(list(dims))}, "edges": ['
-    openings = tuple(
-        f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
-    )
-    return head, openings
-
-
 def dumps_graph(g: VWDigraph) -> str:
-    """One JSON line, rendered from the key; byte-identical to
-    ``json.dumps(graph_to_json(g), separators=(", ", ": "))``."""
-    dims = g.omega.dims
-    head, openings = _json_openings(dims)
-    strings = _position_tables(bit_string, dims)
-    return (
-        head
-        + ", ".join(
-            [o + s[bits] + '"}' for o, s, bits in zip(openings, strings, g.key) if bits]
-        )
-        + "]}"
-    )
+    """``graph_to_json(g)`` as one JSON line."""
+    return json.dumps(graph_to_json(g), separators=(", ", ": "))

@@ -40,7 +40,7 @@ class GF2Vector:
 
     @classmethod
     def from_string(cls, text: str) -> "GF2Vector":
-        if not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or any(c not in "01" for c in text):
             raise ValueError(f"invalid bit string {text!r}")
         bits = 0
         for k, c in enumerate(text, start=1):

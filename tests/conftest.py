@@ -21,12 +21,26 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# The class census, read once: one line per sorted shape,
+# "dims count_acyclic classes".
+CENSUS = [
+    (tuple(map(int, dims.split(","))), int(acyclic), int(classes))
+    for dims, acyclic, classes in (
+        line.split()
+        for line in (Path(__file__).parent / "data" / "class_census.txt")
+        .read_text(encoding="utf-8")
+        .splitlines()
+        if not line.startswith("#")
+    )
+]
+
+
 def census_classes(dims: str) -> str:
-    """The class count pinned for one shape in the census file."""
-    census = Path(__file__).parent / "data" / "class_census.txt"
-    for line in census.read_text(encoding="utf-8").splitlines():
-        if not line.startswith("#") and line.split()[0] == dims:
-            return line.split()[2]
+    """The class count pinned for one shape in the census, as printed."""
+    shape = tuple(map(int, dims.split(",")))
+    for line_dims, _, classes in CENSUS:
+        if line_dims == shape:
+            return str(classes)
     raise KeyError(dims)
 
 

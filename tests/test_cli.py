@@ -82,7 +82,7 @@ class TestCount:
 
     def test_weak_four_vertices_is_brute(self, capsys):
         assert main(["count", "weak", "--omega", "1,1,1,1"]) == 0
-        assert capsys.readouterr() == ("19\n", "source: brute\n")
+        assert capsys.readouterr() == (census_classes("1,1,1,1") + "\n", "source: brute\n")
 
     def test_weak_three_distinct_formula(self, capsys):
         assert main(["count", "weak", "--omega", "1,2,3"]) == 0
@@ -327,6 +327,16 @@ class TestApply:
         assert main(["apply", "--op", "lc", "--vertex", "1", "--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
+
+    def test_array_weight_usage_error(self, capsys, monkeypatch):
+        import io
+
+        doc = {"omega": [2, 1], "edges": [{"from": 1, "to": 2, "weight": ["1", "1"]}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["apply", "--op", "lc", "--vertex", "1", "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid bit string ['1', '1']" in captured.err
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io

@@ -3,14 +3,13 @@ from collections import Counter
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
-from pathlib import Path
 from typing import Iterator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import census_classes
+from conftest import CENSUS, census_classes
 from wdag import digraph, equivalence
 from wdag.digraph import (
     BudgetError,
@@ -41,7 +40,6 @@ from wdag.formulas import count_classes_three_vertices_corrected, count_classes_
 from wdag.gf2 import GF2Vector
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
-ROOT = Path(__file__).resolve().parents[1]
 SIGMA = Permutation.from_cycles(3, (1, 2, 3))
 
 SWEEP_SHAPES = [
@@ -721,16 +719,6 @@ def reference_sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
         raise ArithmeticError(
             f"sliced orbits cover {total} graphs, count_acyclic gives {acyclic}"
         )
-
-
-# The class census: one line per sorted shape, "dims count_acyclic classes".
-CENSUS_TEXT = (ROOT / "tests" / "data" / "class_census.txt").read_text(encoding="utf-8")
-CENSUS = [
-    (tuple(map(int, dims.split(","))), int(acyclic), int(classes))
-    for dims, acyclic, classes in (
-        line.split() for line in CENSUS_TEXT.splitlines() if not line.startswith("#")
-    )
-]
 
 
 class TestSlicing:

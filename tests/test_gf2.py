@@ -33,6 +33,10 @@ class TestVector:
             GF2Vector(2, 4)
         with pytest.raises(ValueError):
             GF2Vector.from_string("10x")
+        # Only a str is a bit string: a list or tuple of "0"/"1" is not.
+        for text in (["1", "1"], ("1", "0"), b"11", 11):
+            with pytest.raises(ValueError, match="invalid bit string"):
+                GF2Vector.from_string(text)
 
 
 class TestPermute:
