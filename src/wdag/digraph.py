@@ -15,8 +15,9 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, compress, permutations, product
 from math import comb
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string
@@ -103,28 +104,21 @@ class VectorMatrix:
         return cls(omega, rows)
 
 
-class _ByBits(dict):
-    """``make(dim, bits)`` for the weights of one dimension, keyed by the
-    packed bits; each value is made on first use, then shared."""
-
-    def __init__(self, make, dim: int):
-        super().__init__()
-        self.make = make
-        self.dim = dim
-
-    def __missing__(self, bits: int):
-        value = self[bits] = self.make(self.dim, bits)
-        return value
-
-
 @lru_cache(maxsize=None)
-def _position_tables(make, dims: tuple[int, ...]) -> tuple[_ByBits, ...]:
-    """One table per key position: row i uses dimension dims[i].  With
-    ``bit_string`` they give ``serial`` and the JSON weights; with
-    ``GF2Vector`` they give ``edges``, each vector checked once and shared,
-    which is safe because vectors are frozen."""
-    tables = {d: _ByBits(make, d) for d in set(dims)}
-    return tuple(tables[d] for d in dims for _ in dims)
+def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], int]:
+    """For each key position of one shape, its place (i, j, dim(i)) and its
+    bit offset in ``serial`` read as one int; and the bit just above that
+    int.  A position's bit string is its bits lowest first, at a fixed
+    width, so the reversed binary of the int is ``serial``."""
+    m = len(dims)
+    places = tuple((p // m + 1, p % m + 1, dims[p // m]) for p in range(m * m))
+    starts = tuple(accumulate((d for _, _, d in places), initial=0))
+    return places, starts[:-1], 1 << starts[-1]
+
+
+# One checked GF2Vector per (dimension, bits), shared while recently used;
+# sharing is safe because vectors are frozen.
+_vector = lru_cache(maxsize=1 << 12)(GF2Vector)
 
 
 class VWDigraph:
@@ -179,12 +173,11 @@ class VWDigraph:
     @property
     def edges(self) -> tuple[tuple[int, int, GF2Vector], ...]:
         """Edges (i, j, weight), sorted by (i, j)."""
-        m = self.omega.m
-        vectors = _position_tables(GF2Vector, self.omega.dims)
+        key = self.key
+        places = _layout(self.omega.dims)[0]
         return tuple(
-            (p // m + 1, p % m + 1, vectors[p][bits])
-            for p, bits in enumerate(self.key)
-            if bits
+            (i, j, _vector(d, bits))
+            for (i, j, d), bits in zip(compress(places, key), filter(None, key))
         )
 
     def weight(self, i: int, j: int) -> GF2Vector | None:
@@ -195,8 +188,9 @@ class VWDigraph:
     @property
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
-        strings = _position_tables(bit_string, self.omega.dims)
-        return "".join(map(_ByBits.__getitem__, strings, self.key))
+        _, starts, top = _layout(self.omega.dims)
+        # The top bit keeps the leading zeros; [:2:-1] drops "0b1" and reverses.
+        return bin(sum(map(lshift, self.key, starts), top))[:2:-1]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -232,12 +226,11 @@ def reduced_matrix(g: VWDigraph) -> VectorMatrix:
     """Adjacency matrix plus the all-ones diagonal; requires an acyclic graph."""
     if not is_acyclic(g):
         raise ValueError("reduced matrix is only defined for acyclic graphs")
-    dims = g.omega.dims
-    m = len(dims)
-    key = list(g.key)
-    for s, d in enumerate(dims):
-        key[s * m + s] = (1 << d) - 1
-    entries = list(map(_ByBits.__getitem__, _position_tables(GF2Vector, dims), key))
+    m = g.omega.m
+    entries = [
+        _vector(d, (1 << d) - 1 if i == j else bits)
+        for (i, j, d), bits in zip(_layout(g.omega.dims)[0], g.key)
+    ]
     return VectorMatrix(g.omega, tuple(tuple(entries[p : p + m]) for p in range(0, m * m, m)))
 
 
@@ -310,7 +303,8 @@ def dag_census(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     Graphs are built layer by layer: the first layer is the source set,
     and each vertex of a later layer draws its in-edges from all earlier
     layers with at least one from the immediately preceding layer.  That
-    decomposition is unique, so nothing is repeated.
+    decomposition is unique, so nothing is repeated.  A negative m, like
+    a refusal, raises at the first ``next()``.
     """
     size = count_dags(m)
     if size > ITEM_BUDGET:
@@ -349,6 +343,8 @@ def dag_census(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def count_dags(m: int) -> int:
     """Number of DAGs on m labeled vertices, via the layer recurrence."""
+    if m < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {m}")
     if m == 0:
         return 1
     return sum(
@@ -445,7 +441,11 @@ def _acyclic_rows(omega: DimensionFunction, piece, empty) -> Iterator:
             for out, payload in table:
                 yield from choose(i + 1, masks + (out,), prefix + payload)
 
-    yield from choose(0, (), empty)
+    # choose refers to itself; drop its tables now, not at the next full collection.
+    try:
+        yield from choose(0, (), empty)
+    finally:
+        allowed.clear()
 
 
 def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
@@ -466,15 +466,14 @@ def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:
     rendered once, as its edge object and the ", " after it, so a line is
     its rows' fragments side by side between the head and "]}"."""
     dims = omega.dims
-    m = len(dims)
     head = dumps_graph(VWDigraph(omega))[:-2]
-    # Each key position's edge object, up to the opening quote of its weight.
-    openings = [
-        f'{{"from": {p // m + 1}, "to": {p % m + 1}, "weight": "' for p in range(m * m)
-    ]
+    # Each edge's object, up to the opening quote of its weight.
+    openings = {
+        (i, j): f'{{"from": {i}, "to": {j}, "weight": "' for i, j, _ in _layout(dims)[0]
+    }
 
     def edge(i: int, j: int, bits: int) -> str:
-        return f'{openings[(i - 1) * m + j - 1]}{bit_string(dims[i - 1], bits)}"}}, '
+        return f'{openings[i, j]}{bit_string(dims[i - 1], bits)}"}}, '
 
     for body in _acyclic_rows(omega, edge, ""):
         yield head + body[:-2] + "]}"
@@ -571,14 +570,13 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
 
 
 def graph_to_json(g: VWDigraph) -> dict:
-    m = g.omega.m
-    strings = _position_tables(bit_string, g.omega.dims)
+    key = g.key
+    places = _layout(g.omega.dims)[0]
     return {
         "omega": list(g.omega.dims),
         "edges": [
-            {"from": p // m + 1, "to": p % m + 1, "weight": strings[p][bits]}
-            for p, bits in enumerate(g.key)
-            if bits
+            {"from": i, "to": j, "weight": bit_string(d, bits)}
+            for (i, j, d), bits in zip(compress(places, key), filter(None, key))
         ],
     }
 

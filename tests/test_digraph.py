@@ -27,7 +27,7 @@ from wdag.digraph import (
     specialize,
 )
 from wdag.equivalence import local_complement
-from wdag.gf2 import GF2Matrix, GF2Vector, gf2_det, all_principal_minors_one
+from wdag.gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string, gf2_det
 
 
 _VECTOR_TABLE = {
@@ -55,6 +55,14 @@ class TestCensus:
                 listing = list(dag_census(m))
                 assert len(listing) == want
                 assert len(set(listing)) == want
+
+    def test_negative_vertex_counts_are_refused(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            count_dags(-1)
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            next(dag_census(-1))
+        assert count_dags(0) == 1
+        assert list(dag_census(0)) == [()]
 
     def test_census_count_match_m5(self):
         assert sum(1 for _ in dag_census(5)) == 29281
@@ -180,15 +188,33 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="duplicate"):
             VWDigraph(omega, [(1, 2, ten), (1, 2, ten)])
 
-    def test_edges_are_the_key_weights(self):
-        omega = DimensionFunction.of(1, 2, 3)
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 2, 3), (3, 1, 2), (2, 2, 2), (1, 1, 1, 1)],
+        ids=lambda dims: ",".join(map(str, dims)),
+    )
+    def test_edges_are_the_key_weights(self, dims):
+        # Every derived view against its definition from the key.
+        omega = DimensionFunction(dims)
+        m = len(dims)
         for g in enumerate_acyclic(omega):
             assert g.edges == tuple(
-                (i, j, GF2Vector(omega.dim(i), g.key[(i - 1) * 3 + j - 1]))
-                for i in range(1, 4)
-                for j in range(1, 4)
-                if g.key[(i - 1) * 3 + j - 1]
+                (i, j, GF2Vector(dims[i - 1], g.key[(i - 1) * m + j - 1]))
+                for i in range(1, m + 1)
+                for j in range(1, m + 1)
+                if g.key[(i - 1) * m + j - 1]
             )
+            assert g.serial == "".join(
+                bit_string(dims[p // m], b) for p, b in enumerate(g.key)
+            )
+            assert graph_to_json(g)["edges"] == [
+                {"from": i, "to": j, "weight": w.to_string()} for i, j, w in g.edges
+            ]
+            r = reduced_matrix(g)
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    bits = (1 << dims[i - 1]) - 1 if i == j else g.key[(i - 1) * m + j - 1]
+                    assert r.entry(i, j) == GF2Vector(dims[i - 1], bits)
 
     def test_reduced_matrix_diagonal(self, fig_graph):
         r = reduced_matrix(fig_graph)
