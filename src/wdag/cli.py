@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Iterable, Sequence
 
@@ -417,47 +418,44 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(family: str, max_n: int) -> tuple[list[str], list[list]]:
-    if family == "stirling":
-        header = ["kind", "n", "m", "value"]
-        rows = [
-            ["c", n, m, cyclestats.stirling1(n, m)]
-            for n in range(max_n + 1)
-            for m in range(n + 1)
-        ]
-    elif family == "c2":
-        header = ["kind", "n", "m", "value"]
-        rows = [
-            ["c2", n, m, cyclestats.stirling1_all_divisible(2, n, m)]
-            for n in range(max_n + 1)
-            for m in range(n + 1)
-        ]
-    elif family == "cnme":
-        header = ["kind", "n", "m", "e", "value"]
-        rows = [
-            ["cnme", n, m, e, cyclestats.stirling1_by_even(n, m, e)]
-            for n in range(max_n + 1)
-            for m in range(n + 1)
-            for e in range(n // 2 + 1)
-        ]
-    elif family == "three-simplices":
-        header = ["n1", "n2", "n3", "total", "branch"]
-        rows = []
-        for n1 in range(1, max_n + 1):
-            for n2 in range(n1, max_n + 1):
-                for n3 in range(n2, max_n + 1):
-                    breakdown = formulas.count_classes_three_vertices_corrected(
-                        n1, n2, n3
-                    )
-                    rows.append([n1, n2, n3, breakdown.total, breakdown.branch])
-    return header, rows
+def _three_simplex_rows(max_n: int):
+    for dims in combinations_with_replacement(range(1, max_n + 1), 3):
+        breakdown = formulas.count_classes_three_vertices_corrected(*dims)
+        yield [*dims, breakdown.total, breakdown.branch]
+
+
+def _cycle_rows(kind: str, value):
+    """The rows [kind, n, m, value(n, m)] for 0 <= m <= n <= max_n."""
+    return lambda max_n: (
+        [kind, n, m, value(n, m)] for n in range(max_n + 1) for m in range(n + 1)
+    )
+
+
+def _cnme_rows(max_n: int):
+    for n in range(max_n + 1):
+        for m in range(n + 1):
+            for e in range(n // 2 + 1):
+                yield ["cnme", n, m, e, cyclestats.stirling1_by_even(n, m, e)]
+
+
+# A family maps to (least --max, header, rows up to --max).
+TABLES = {
+    "three-simplices": (1, ["n1", "n2", "n3", "total", "branch"], _three_simplex_rows),
+    "stirling": (0, ["kind", "n", "m", "value"], _cycle_rows("c", cyclestats.stirling1)),
+    "c2": (
+        0,
+        ["kind", "n", "m", "value"],
+        _cycle_rows("c2", partial(cyclestats.stirling1_all_divisible, 2)),
+    ),
+    "cnme": (0, ["kind", "n", "m", "e", "value"], _cnme_rows),
+}
 
 
 def _cmd_table(args) -> int:
-    least = 1 if args.family == "three-simplices" else 0
+    least, header, rows_up_to = TABLES[args.family]
     if args.max < least:
         raise UsageError(f"--max for {args.family} must be at least {least}, got {args.max}")
-    header, rows = _table_rows(args.family, args.max)
+    rows = rows_up_to(args.max)
     if args.format == "csv":
         print(",".join(header))
         for row in rows:
@@ -515,11 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="emit value tables")
-    p_table.add_argument(
-        "--family",
-        required=True,
-        choices=["three-simplices", "stirling", "c2", "cnme"],
-    )
+    p_table.add_argument("--family", required=True, choices=list(TABLES))
     p_table.add_argument("--max", type=int, required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.set_defaults(func=_cmd_table)

@@ -5,10 +5,10 @@ The closed forms are evaluated exactly as printed, with every division
 checked for exactness.  Each family also has an oracle that partitions
 an explicit finite group action into orbits with union-find, so the
 formulas are verified without reusing any fixed-point case analysis.
-The three-vertex forms are also checked family by family against orbit
-enumeration, whose classes come from equivalence.sliced_orbits one
-reachability poset at a time: the five families are the five posets on
-three points.
+The corrected three-vertex form, the paper's display plus three swap
+terms, is also checked family by family against orbit enumeration,
+whose classes come from equivalence.sliced_orbits one reachability
+poset at a time: the five families are the five posets on three points.
 """
 from __future__ import annotations
 
@@ -363,7 +363,8 @@ def _triple_breakdown(
 
 
 def _pair_roles(n1: int, n2: int, n3: int) -> tuple[int, int, str]:
-    """For exactly two equal dimensions: (repeated n, other c, branch name)."""
+    """For sorted dimensions with a repeat: (repeated n, other c, branch
+    name); all three equal give c = n."""
     if n1 == n2:
         return n1, n3, "low-pair"
     return n2, n1, "high-pair"
@@ -377,9 +378,9 @@ def count_classes_three_vertices(n1: int, n2: int, n3: int) -> TripleCountBreakd
     shapes; the remaining shape n1<n2=n3 is evaluated by the low-pair
     branch with the repeated value in the first role.  Its equal-dimension
     branches miss the swap of the two equal-dimension vertices, so they
-    disagree with orbit enumeration, e.g. 13 against 14 at (1,1,2).  The
-    swap-aware closed form is count_classes_three_vertices_corrected; this
-    function is kept as the record of the display.
+    disagree with orbit enumeration, e.g. 13 against 14 at (1,1,2).
+    count_classes_three_vertices_corrected adds the three missed swap terms
+    to this display, which is kept as its record.
     """
     if not 1 <= n1 <= n2 <= n3:
         raise ValueError("need 1 <= n1 <= n2 <= n3")
@@ -419,36 +420,30 @@ def count_classes_three_vertices_corrected(
     n1: int, n2: int, n3: int
 ) -> TripleCountBreakdown:
     """Swap-aware closed-form class count for three vertices of dimensions
-    n1<=n2<=n3, family by family.
+    n1<=n2<=n3: the display (count_classes_three_vertices) plus the three
+    swap terms it misses, family by family.
 
-    The all-distinct branch is the display's (count_classes_three_vertices).
-    When two vertices share dimension n they can be swapped, so an edge
-    between them has h(n) classes in either direction, two sinks of
-    dimension n under one source count as an unordered out-star
-    (count_unordered_outstar_classes), and two sources of dimension n over
-    one sink as an unordered pair of weight classes
-    (count_unordered_instar_classes).  Here h(n) = floor((n+1)/2) is the
-    number of single-edge weight classes.
+    All-distinct shapes have no swap and keep the display.  Otherwise n is
+    the repeated dimension and c the other one (c = n when all three are
+    equal), and h(n) = floor((n+1)/2).  An edge between the two dimension-n
+    vertices has h(n) classes either way, so single-edge gains h(n) when
+    c != n; two dimension-n sinks of one source swap, so out-star gains
+    count_unordered_outstar_classes(c) - outstar_term(c); two dimension-n
+    sources of one sink swap, so in-star gains
+    count_unordered_instar_classes(n) - h(n)**2.  The pair branch relies on
+    outstar_term(n) == count_outstar_classes(n) in both parities.
     """
-    if not 1 <= n1 <= n2 <= n3:
-        raise ValueError("need 1 <= n1 <= n2 <= n3")
-    if n1 < n2 < n3:
-        return count_classes_three_vertices(n1, n2, n3)
-    if n1 == n2 == n3:
-        return _triple_breakdown(
-            _half(n1),
-            count_unordered_outstar_classes(n1),
-            count_unordered_instar_classes(n1),
-            count_path_classes(n1, n1),
-            "all-equal",
-        )
-    n, c, branch = _pair_roles(n1, n2, n3)
+    display = count_classes_three_vertices(n1, n2, n3)
+    if display.branch == "distinct":
+        return display
+    n, c, _ = _pair_roles(n1, n2, n3)
+    per_type = display.per_type
     return _triple_breakdown(
-        2 * _half(n) + _half(c),
-        count_outstar_classes(n) + count_unordered_outstar_classes(c),
-        count_instar_classes(n, c) + count_unordered_instar_classes(n),
-        count_path_classes(n, n) + count_path_classes(n, c) + count_path_classes(c, n),
-        branch,
+        per_type[FAMILY_SINGLE] + (_half(n) if c != n else 0),
+        per_type[FAMILY_OUTSTAR] + count_unordered_outstar_classes(c) - outstar_term(c),
+        per_type[FAMILY_INSTAR] + count_unordered_instar_classes(n) - _half(n) ** 2,
+        per_type[FAMILY_PATH],
+        display.branch,
     )
 
 

@@ -491,6 +491,24 @@ class TestTable:
         assert captured.out == ""
         assert "usage error: --max" in captured.err
 
+    @pytest.mark.parametrize("family", list(cli.TABLES))
+    def test_registry_family(self, capsys, family):
+        least, header, _ = cli.TABLES[family]
+        top = str(least + 3)
+        assert main(["table", "--family", family, "--max", top]) == 0
+        first, *lines = capsys.readouterr().out.splitlines()
+        assert main(["table", "--family", family, "--max", top, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert first == ",".join(header)
+        assert rows and [list(row) for row in rows] == [header] * len(rows)
+        assert [{k: str(v) for k, v in row.items()} for row in rows] == [
+            dict(zip(header, line.split(","))) for line in lines
+        ]
+        assert main(["table", "--family", family, "--max", str(least - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --max" in captured.err
+
     def test_deterministic_output(self, capsys):
         main(["table", "--family", "three-simplices", "--max", "3"])
         first = capsys.readouterr().out

@@ -1,4 +1,6 @@
-from itertools import product
+import csv
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,10 @@ from wdag.formulas import (
 )
 from wdag.gf2 import permute_bits as _permute_bits
 from wdag.permutation import Permutation, all_permutations
+
+# The corrected three-vertex form on every sorted shape with dims <= 9:
+# each family, the total and the branch.
+CORRECTED_TABLE = Path(__file__).parent / "data" / "three_vertex_corrected.csv"
 
 
 class TestTwoVertexFormula:
@@ -542,6 +548,27 @@ class TestCorrectedTripleCount:
             count_classes_three_vertices_corrected(2, 1, 3)
         with pytest.raises(ValueError):
             count_classes_three_vertices_corrected(0, 1, 1)
+
+    def test_pinned_table(self):
+        with CORRECTED_TABLE.open(encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            pinned = list(reader)
+        computed = []
+        for dims in combinations_with_replacement(range(1, 10), 3):
+            breakdown = count_classes_three_vertices_corrected(*dims)
+            row = dict(zip(("n1", "n2", "n3"), dims), **breakdown.per_type)
+            row.update(total=breakdown.total, branch=breakdown.branch)
+            computed.append({key: str(value) for key, value in row.items()})
+        assert len(pinned) == 165
+        assert reader.fieldnames == list(computed[0])
+        assert computed == pinned
+
+    @pytest.mark.parametrize("dims", list(combinations_with_replacement(range(1, 6), 3)))
+    def test_equals_enumeration_per_family(self, dims):
+        assert (
+            count_classes_three_vertices_corrected(*dims).per_type
+            == brute_three_vertex_breakdown(*dims).per_type
+        )
 
 
 def edge_family(g):
