@@ -116,6 +116,13 @@ def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], int]:
     return places, starts[:-1], 1 << starts[-1]
 
 
+def _serial(dims: tuple[int, ...], key: tuple[int, ...]) -> str:
+    """The ``serial`` of the graph of shape dims with this key."""
+    _, starts, top = _layout(dims)
+    # The top bit keeps the leading zeros; [:2:-1] drops "0b1" and reverses.
+    return bin(sum(map(lshift, key, starts), top))[:2:-1]
+
+
 # One checked GF2Vector per (dimension, bits), shared while recently used;
 # sharing is safe because vectors are frozen.
 _vector = lru_cache(maxsize=1 << 12)(GF2Vector)
@@ -188,9 +195,7 @@ class VWDigraph:
     @property
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
-        _, starts, top = _layout(self.omega.dims)
-        # The top bit keeps the leading zeros; [:2:-1] drops "0b1" and reverses.
-        return bin(sum(map(lshift, self.key, starts), top))[:2:-1]
+        return _serial(self.omega.dims, self.key)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -4,15 +4,15 @@ permutation, and (sigma, k)-local complementation.
 Two acyclic graphs are equivalent when a sequence of the three moves
 turns one into the other.  An orbit is a union of facet orbits, the
 closures under the facet moves, which relabellings carry whole onto each
-other; `orbit` finds one so, with the public moves.  An independent
-oracle realizes each single-vertex move as a facet permutation acting on
-the columns of the characteristic matrix followed by GF(2) row
-reduction.  Classes
-are found by sweeping all acyclic graphs with `orbit`, or one
-reachability poset at a time, inside the graphs whose support closes to
-it: the slicer numbers each slice as a product space, compiles the facet
-moves and the poset's automorphisms into index maps, and merges them in
-a flat union-find.
+other; `orbit` finds one so on keys, with the moves compiled once per
+shape and each public move checked once against its compiled form.  An
+independent oracle realizes each single-vertex move as a facet
+permutation acting on the columns of the characteristic matrix followed
+by GF(2) row reduction.  Classes are found by sweeping all acyclic
+graphs with `orbit`, or one reachability poset at a time, inside the
+graphs whose support closes to it: the slicer numbers each slice as a
+product space, compiles the facet moves and the poset's automorphisms
+into index maps, and merges them in a flat union-find.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, count, permutations
 from math import factorial, prod
-from operator import add, and_, attrgetter, lt
-from typing import Callable, Iterator
+from operator import add, and_, itemgetter, lt
+from typing import Callable, Iterator, Sequence
 
 from . import digraph
 from .digraph import (
@@ -52,13 +52,13 @@ def _row_dim(g: VWDigraph, v: int, sigma: Permutation) -> int:
     return dim_v
 
 
-def _complement(g: VWDigraph, v: int, mask: int) -> list[int]:
-    """The key of g with the weight of (u,v) added onto (u,w) for every
-    in-neighbor u of v and every out-neighbor w whose weight shares a bit
-    with mask.  An edge exists iff its entry is nonzero, and no loop is
-    ever created (u == w is only reachable from a cyclic input)."""
-    m = len(g.omega.dims)
-    key = list(g.key)
+def _complement(key: Sequence[int], m: int, v: int, mask: int) -> list[int]:
+    """A copy of the key of a graph on m vertices with the weight of (u,v)
+    added onto (u,w) for every in-neighbor u of v and every out-neighbor w
+    whose weight shares a bit with mask.  An edge exists iff its entry is
+    nonzero, row v is left as it was, and no loop is ever created (u == w
+    is only reachable from a cyclic input)."""
+    key = list(key)
     row = (v - 1) * m
     marked = [w for w in range(m) if key[row + w] & mask]
     if marked:
@@ -96,7 +96,7 @@ def local_complement(g: VWDigraph, v: int) -> VWDigraph:
     out-neighbor w of v; an edge exists in the result iff its new weight
     is nonzero."""
     g.omega.dim(v)  # raises unless v is a vertex of g
-    return VWDigraph._from_key(g.omega, tuple(_complement(g, v, -1)))
+    return VWDigraph._from_key(g.omega, tuple(_complement(g.key, g.omega.m, v, -1)))
 
 
 def permute_out_weights(g: VWDigraph, v: int, sigma: Permutation) -> VWDigraph:
@@ -129,9 +129,10 @@ def sigma_k_local_complement(
     if not 1 <= k <= dim_v:
         raise ValueError(f"coordinate {k} outside 1..{dim_v}")
     mask, correction = _marking(dim_v, sigma, k)
+    m = g.omega.m
     # Cross pairs never touch row v, so it still holds the original weights.
-    key = _complement(g, v, mask)
-    _permute_row(key, len(g.omega.dims), v, sigma.images, mask, correction)
+    key = _complement(g.key, m, v, mask)
+    _permute_row(key, m, v, sigma.images, mask, correction)
     return VWDigraph._from_key(g.omega, tuple(key))
 
 
@@ -146,8 +147,13 @@ def reorder_vertices(g: VWDigraph, mu: Permutation) -> VWDigraph:
     for i in range(m):
         if dims[images[i] - 1] != dims[i]:
             raise ValueError(f"reordering does not preserve dimensions at vertex {i + 1}")
-    positions = [(a - 1) * m + b - 1 for a in images for b in images]
-    return VWDigraph._from_key(g.omega, tuple(map(g.key.__getitem__, positions)))
+    return VWDigraph._from_key(g.omega, tuple(map(g.key.__getitem__, _positions(m, images))))
+
+
+def _positions(m: int, images: tuple[int, ...]) -> list[int]:
+    """The key positions reorder_vertices reads, in order, for the vertex
+    permutation with these images."""
+    return [(a - 1) * m + b - 1 for a in images for b in images]
 
 
 # ---------------------------------------------------------------------------
@@ -311,55 +317,85 @@ class OrbitReport:
     members: tuple[VWDigraph, ...] | None = None
 
 
-def _closure(
-    g: VWDigraph,
-    facet: list[Callable[[VWDigraph], VWDigraph]],
-    relabel: list[Callable[[VWDigraph], VWDigraph]],
-) -> dict[tuple[int, ...], VWDigraph]:
-    """The orbit of g under the facet moves and the relabellings, keyed by
-    the members' keys.  The facet orbit of g is closed breadth first.  A
-    relabelling maps each facet orbit onto a facet orbit, so each further
-    one is the image of a found one's first member, and is mapped whole."""
+def _facet_step(
+    key: tuple[int, ...], m: int, v: int, mask: int, image: list[int]
+) -> tuple[int, ...]:
+    """The key of a facet move, given as by _weight_rules, applied to key:
+    the cross pairs gain as the mask marks, then row v maps through image."""
+    out = _complement(key, m, v, mask)
+    row = (v - 1) * m
+    out[row : row + m] = map(image.__getitem__, out[row : row + m])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _orbit_moves(dims: tuple[int, ...]) -> tuple[list, list]:
+    """The generators of orbit for one shape, compiled once.  Each facet
+    generator is (v, mask, image) by _weight_rules, with the keywords of
+    its public move.  Each swap of consecutive vertices of one dimension,
+    k-1 for k such vertices, which span S_omega, is its permutation mu and
+    a getter of the key positions reorder_vertices reads for mu."""
+    omega, m = DimensionFunction(dims), len(dims)
+    facet = facet_generators(omega)
+    rules = [(*rule, move.keywords) for rule, move in zip(_weight_rules(omega, facet), facet)]
+    swaps = []
+    for p, q in combinations(range(1, m + 1), 2):
+        # q is the next vertex after p of its dimension.
+        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]:
+            mu = Permutation.transposition(m, p, q)
+            swaps.append((mu, itemgetter(*_positions(m, mu.images))))
+    return rules, swaps
+
+
+def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
+    """The orbit of g under the facet generators and the swaps of
+    consecutive vertices of one dimension, closed on keys.
+
+    The facet orbit of g is closed breadth first under the compiled facet
+    moves.  A relabelling maps each facet orbit onto a facet orbit, so each
+    further one is the image of a found one's first member, and is mapped
+    whole through the swap's key positions.  One check comes free and
+    raises ArithmeticError on a failure: each public move, applied once to
+    g, gives the key its compiled form gives.  Graphs are built only for
+    the members returned; refuses past ORBIT_BUDGET members."""
+    if not is_acyclic(g):
+        raise ValueError("orbits are computed for acyclic graphs only")
+    omega, key = g.omega, g.key
+    m = omega.m
+    facet, swaps = _orbit_moves(omega.dims)
+    for v, mask, image, keywords in facet:
+        # Looked up at call time, so wrappers bound into this module see it.
+        public = sigma_k_local_complement if "k" in keywords else permute_out_weights
+        if public(g, **keywords).key != _facet_step(key, m, v, mask, image):
+            raise ArithmeticError(f"compiled facet move at vertex {v} disagrees on {g}")
+    for mu, take in swaps:
+        if reorder_vertices(g, mu).key != take(key):
+            raise ArithmeticError(f"compiled swap {mu.images} disagrees on {g}")
     budget = ORBIT_BUDGET
     refuse = partial(BudgetError, "orbit", "at least {} members", budget + 1, budget)
-    seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
-    blocks = [[g]]
+    seen = {key}
+    blocks = [[key]]
     for cur in blocks[0]:  # a queue: it grows while it is read
-        for gen in facet:
-            img = gen(cur)
-            if img.key not in seen:
-                seen[img.key] = img
+        for v, mask, image, _ in facet:
+            img = _facet_step(cur, m, v, mask, image)
+            if img not in seen:
+                seen.add(img)
                 blocks[0].append(img)
                 if len(seen) > budget:
                     raise refuse()
     for block in blocks:
-        for mu in relabel:
-            if mu(block[0]).key not in seen:
+        for _, take in swaps:
+            if take(block[0]) not in seen:
                 if len(seen) + len(block) > budget:
                     raise refuse()
-                blocks.append(list(map(mu, block)))
-                seen.update((h.key, h) for h in blocks[-1])
-    return seen
-
-
-def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
-    """The orbit of g under the facet generators and the swaps of consecutive
-    vertices of one dimension, k-1 for k such vertices, which span S_omega."""
-    if not is_acyclic(g):
-        raise ValueError("orbits are computed for acyclic graphs only")
-    m, dims = g.omega.m, g.omega.dims
-    swaps = [
-        partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
-        for p, q in combinations(range(1, m + 1), 2)
-        # q is the next vertex after p of its dimension.
-        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
-    ]
-    seen = _closure(g, facet_generators(g.omega), swaps)
-    by_serial = attrgetter("serial")
+                blocks.append(list(map(take, block)))
+                seen.update(blocks[-1])
+    serial = partial(digraph._serial, omega.dims)
     if include_members:
-        members = tuple(sorted(seen.values(), key=by_serial))
+        members = tuple(VWDigraph._from_key(omega, k) for k in sorted(seen, key=serial))
         return OrbitReport(canonical=members[0], size=len(seen), members=members)
-    return OrbitReport(canonical=min(seen.values(), key=by_serial), size=len(seen))
+    canonical = VWDigraph._from_key(omega, min(seen, key=serial))
+    return OrbitReport(canonical=canonical, size=len(seen))
 
 
 def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:

@@ -1,9 +1,10 @@
 import random
 from collections import Counter
 from functools import partial
+from operator import attrgetter
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from wdag.digraph import (
     is_acyclic,
 )
 from wdag.equivalence import (
+    OrbitReport,
     SliceReport,
     count_equivalence_classes,
     facet_generators,
@@ -459,9 +461,10 @@ class TestOrbits:
         assert str(err.value) == "orbit refused: at least 101 members exceed budget 100"
 
     def test_orbit_maps_facet_orbits_whole(self, monkeypatch, fig_graph):
-        # The README graph's orbit is 6 facet orbits of 72.  The first is
-        # closed under the 11 facet generators; the 2 swaps are probed at
-        # the first member of each, and each of the 5 others is mapped whole.
+        # The README graph's orbit is 6 facet orbits of 72.  The closure runs
+        # on keys with the compiled moves, so each of the 11 facet generators
+        # and the 2 swaps is applied as a public move once, to g, to check
+        # its compiled form.
         counts = Counter()
 
         def counted(name):
@@ -477,7 +480,39 @@ class TestOrbits:
             counted(name)
         assert orbit(fig_graph).size == 432
         facet = counts["permute_out_weights"] + counts["sigma_k_local_complement"]
-        assert (facet, counts["reorder_vertices"]) == (72 * 11, 6 * 2 + 5 * 72)
+        assert (facet, counts["reorder_vertices"]) == (11, 2)
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 2), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1)]
+    )
+    def test_compiled_orbit_equals_the_public_move_closure(self, dims):
+        for g in enumerate_acyclic(DimensionFunction(dims)):
+            want = reference_orbit(g)
+            got = orbit(g, include_members=True)
+            assert got == want  # canonical, size and the members in order
+            assert orbit(g) == OrbitReport(want.canonical, want.size)
+
+    def test_free_check_refuses_a_wrong_public_move(self, monkeypatch, fig_graph):
+        monkeypatch.setattr(equivalence, "sigma_k_local_complement", lambda g, **_: g)
+        with pytest.raises(ArithmeticError, match="compiled facet move"):
+            orbit(fig_graph)
+
+    def test_public_moves_are_looked_up_at_call_time(self, monkeypatch):
+        # Once the shape's moves are compiled, wrappers bound into the
+        # module still see each facet move applied once, to g.
+        g = graph((1, 2), [(2, 1, "10")])
+        orbit(g)
+        counts = Counter()
+        for name in ("permute_out_weights", "sigma_k_local_complement"):
+            move = getattr(equivalence, name)
+
+            def count(*args, name=name, move=move, **kwargs):
+                counts[name] += 1
+                return move(*args, **kwargs)
+
+            monkeypatch.setattr(equivalence, name, count)
+        orbit(g)
+        assert sum(counts.values()) == sum(g.omega.dims)
 
     @pytest.mark.parametrize("dims", [(2, 2), (1, 1, 2), (1, 2, 2)])
     def test_move_images_equal_validated_graphs(self, dims):
@@ -652,6 +687,51 @@ SLICE_SHAPES = [
 ]
 
 
+def _closure(
+    g: VWDigraph,
+    facet: list[Callable[[VWDigraph], VWDigraph]],
+    relabel: list[Callable[[VWDigraph], VWDigraph]],
+) -> dict[tuple[int, ...], VWDigraph]:
+    """The orbit of g under the facet moves and the relabellings, keyed by
+    the members' keys.  The facet orbit of g is closed breadth first.  A
+    relabelling maps each facet orbit onto a facet orbit, so each further
+    one is the image of a found one's first member, and is mapped whole."""
+    budget = equivalence.ORBIT_BUDGET
+    refuse = partial(BudgetError, "orbit", "at least {} members", budget + 1, budget)
+    seen: dict[tuple[int, ...], VWDigraph] = {g.key: g}
+    blocks = [[g]]
+    for cur in blocks[0]:  # a queue: it grows while it is read
+        for gen in facet:
+            img = gen(cur)
+            if img.key not in seen:
+                seen[img.key] = img
+                blocks[0].append(img)
+                if len(seen) > budget:
+                    raise refuse()
+    for block in blocks:
+        for mu in relabel:
+            if mu(block[0]).key not in seen:
+                if len(seen) + len(block) > budget:
+                    raise refuse()
+                blocks.append(list(map(mu, block)))
+                seen.update((h.key, h) for h in blocks[-1])
+    return seen
+
+
+def reference_orbit(g: VWDigraph) -> OrbitReport:
+    """orbit as it was before its closure ran on compiled keys: the public
+    facet moves and swaps of consecutive vertices of one dimension."""
+    m, dims = g.omega.m, g.omega.dims
+    swaps = [
+        partial(reorder_vertices, mu=Permutation.transposition(m, p, q))
+        for p, q in combinations(range(1, m + 1), 2)
+        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
+    ]
+    seen = _closure(g, facet_generators(g.omega), swaps)
+    members = tuple(sorted(seen.values(), key=attrgetter("serial")))
+    return OrbitReport(canonical=members[0], size=len(seen), members=members)
+
+
 # The slicer as it was before its moves were compiled into index maps:
 # each slice's keys listed as tuples, each class found by the orbit
 # closure with the public moves.  Kept as an independent reference.
@@ -706,7 +786,7 @@ def reference_sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
             if key in seen:
                 continue
             first = VWDigraph._from_key(omega, key)
-            members = equivalence._closure(first, facet, autos)
+            members = _closure(first, facet, autos)
             seen.update(members)
             size = len(members) * poset.index
             if group % size:
