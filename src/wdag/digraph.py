@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, compress, permutations, product
 from math import comb
-from operator import lshift
+from operator import and_, lshift
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string
@@ -105,27 +105,42 @@ class VectorMatrix:
 
 
 @lru_cache(maxsize=None)
-def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], int]:
+def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], int, tuple[int, ...]]:
     """For each key position of one shape, its place (i, j, dim(i)) and its
-    bit offset in ``serial`` read as one int; and the bit just above that
-    int.  A position's bit string is its bits lowest first, at a fixed
-    width, so the reversed binary of the int is ``serial``."""
+    bit offset in ``serial`` read as one int; the bit just above that int;
+    and each position's mask of dim(i) bits.  A position's bit string is its
+    bits lowest first, at a fixed width, so the reversed binary of the int
+    is ``serial``."""
     m = len(dims)
     places = tuple((p // m + 1, p % m + 1, dims[p // m]) for p in range(m * m))
     starts = tuple(accumulate((d for _, _, d in places), initial=0))
-    return places, starts[:-1], 1 << starts[-1]
+    masks = tuple((1 << d) - 1 for _, _, d in places)
+    return places, starts[:-1], 1 << starts[-1], masks
+
+
+def _pack(dims: tuple[int, ...], key: tuple[int, ...]) -> int:
+    """The key of shape dims as one int, each position's bits at its
+    offset; ``serial`` is this int's binary below the top bit, reversed."""
+    return sum(map(lshift, key, _layout(dims)[1]))
 
 
 def _serial(dims: tuple[int, ...], key: tuple[int, ...]) -> str:
     """The ``serial`` of the graph of shape dims with this key."""
-    _, starts, top = _layout(dims)
     # The top bit keeps the leading zeros; [:2:-1] drops "0b1" and reverses.
-    return bin(sum(map(lshift, key, starts), top))[:2:-1]
+    return bin(_pack(dims, key) | _layout(dims)[2])[:2:-1]
+
+
+def _unpack(dims: tuple[int, ...], packed: int) -> tuple[int, ...]:
+    """The key that ``_pack`` packs into packed."""
+    _, starts, _, masks = _layout(dims)
+    return tuple(map(and_, map(packed.__rshift__, starts), masks))
 
 
 # One checked GF2Vector per (dimension, bits), shared while recently used;
 # sharing is safe because vectors are frozen.
 _vector = lru_cache(maxsize=1 << 12)(GF2Vector)
+# The same for the bit string of each (dimension, bits) that graph_to_json writes.
+_bit_string = lru_cache(maxsize=1 << 12)(bit_string)
 
 
 class VWDigraph:
@@ -580,7 +595,7 @@ def graph_to_json(g: VWDigraph) -> dict:
     return {
         "omega": list(g.omega.dims),
         "edges": [
-            {"from": i, "to": j, "weight": bit_string(d, bits)}
+            {"from": i, "to": j, "weight": _bit_string(d, bits)}
             for (i, j, d), bits in zip(compress(places, key), filter(None, key))
         ],
     }

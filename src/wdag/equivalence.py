@@ -4,8 +4,9 @@ permutation, and (sigma, k)-local complementation.
 Two acyclic graphs are equivalent when a sequence of the three moves
 turns one into the other.  An orbit is a union of facet orbits, the
 closures under the facet moves, which relabellings carry whole onto each
-other; `orbit` finds one so on keys, with the moves compiled once per
-shape and each public move checked once against its compiled form.  An
+other; `orbit` finds one so on packed keys, one int per member, with the
+moves compiled once per shape into bit operations on those ints and each
+public move checked once against its compiled form.  An
 independent oracle realizes each single-vertex move as a facet
 permutation acting on the columns of the characteristic matrix followed
 by GF(2) row reduction.  Classes are found by sweeping all acyclic
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, count, permutations
 from math import factorial, prod
-from operator import add, and_, itemgetter, lt
+from operator import add, and_, lt
 from typing import Callable, Iterator, Sequence
 
 from . import digraph
@@ -147,13 +148,9 @@ def reorder_vertices(g: VWDigraph, mu: Permutation) -> VWDigraph:
     for i in range(m):
         if dims[images[i] - 1] != dims[i]:
             raise ValueError(f"reordering does not preserve dimensions at vertex {i + 1}")
-    return VWDigraph._from_key(g.omega, tuple(map(g.key.__getitem__, _positions(m, images))))
-
-
-def _positions(m: int, images: tuple[int, ...]) -> list[int]:
-    """The key positions reorder_vertices reads, in order, for the vertex
-    permutation with these images."""
-    return [(a - 1) * m + b - 1 for a in images for b in images]
+    key = g.key
+    image = tuple([key[(a - 1) * m + b - 1] for a in images for b in images])
+    return VWDigraph._from_key(g.omega, image)
 
 
 # ---------------------------------------------------------------------------
@@ -315,99 +312,184 @@ class OrbitReport:
     canonical: VWDigraph
     size: int
     members: tuple[VWDigraph, ...] | None = None
+    # The members' keys, each packed into one int by digraph._pack.
+    packed: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
-def _facet_step(
-    key: tuple[int, ...], m: int, v: int, mask: int, image: list[int]
-) -> tuple[int, ...]:
-    """The key of a facet move, given as by _weight_rules, applied to key:
-    the cross pairs gain as the mask marks, then row v maps through image."""
-    out = _complement(key, m, v, mask)
-    row = (v - 1) * m
-    out[row : row + m] = map(image.__getitem__, out[row : row + m])
-    return tuple(out)
+def _packed_facet(
+    dims: tuple[int, ...], v: int, mask: int, image: list[int]
+) -> Callable[[int], int]:
+    """The facet move (v, mask, image) of _weight_rules on packed keys.
+    Row v's segment is rewritten through tables of image, a few columns a
+    table; then each in-neighbour u's weight on (u, v) is added, with one
+    multiply, onto every column of row u that the old row v marks."""
+    m, d = len(dims), dims[v - 1]
+    starts = digraph._layout(dims)[1]
+    base, row = starts[(v - 1) * m], (1 << m * d) - 1
+    # Tables of at most 8 bits hold only small ints, which Python shares.
+    per = max(1, 8 // d)
+    tables = []
+    for j in range(0, m, per):
+        width = min(per, m - j)
+        digits = [[image[x] << i * d for x in range(1 << d)] for i in reversed(range(width))]
+        tables.append((j * d, (1 << width * d) - 1, _digitwise(digits)))
+    marks = sum(mask << j * d for j in range(m))
+
+    @lru_cache(maxsize=None)
+    def additions(marked: int) -> list[tuple[int, int, int]]:
+        """For each in-neighbour u, the offset and mask of (u, v), and a
+        1 at the offset of each marked column of row u but (u, u)."""
+        columns = [j for j in range(m) if marked >> j * d & mask]
+        out = []
+        for u in range(m):
+            spread = sum(1 << starts[u * m + j] for j in columns if j != u)
+            if u != v - 1 and spread:
+                out.append((starts[u * m + v - 1], (1 << dims[u]) - 1, spread))
+        return out
+
+    def step(key: int) -> int:
+        seg = key >> base & row
+        new = 0
+        for shift, bits, table in tables:
+            new |= table[seg >> shift & bits] << shift
+        key ^= (seg ^ new) << base
+        marked = seg & marks
+        if marked:
+            for at, bits, spread in additions(marked):
+                # The weight fits its field, so the product carries nothing.
+                key ^= (key >> at & bits) * spread
+        return key
+
+    return step
+
+
+def _packed_swap(dims: tuple[int, ...], p: int, q: int) -> Callable[[int], int]:
+    """reorder_vertices by the transposition (p q) of two vertices of one
+    dimension, on packed keys: masked XOR-swaps of columns p and q, one per
+    row width, then of rows p and q.  Rows between p and q may be of other
+    widths, so the row distance is read off the rows' offsets."""
+    m = len(dims)
+    starts = digraph._layout(dims)[1]
+    columns: dict[int, int] = {}  # distance -> the fields of column p
+    for r, d in enumerate(dims):
+        low = starts[r * m + p - 1]
+        distance = starts[r * m + q - 1] - low
+        columns[distance] = columns.get(distance, 0) | ((1 << d) - 1) << low
+    low = starts[(p - 1) * m]
+    rows = (starts[(q - 1) * m] - low, ((1 << m * dims[p - 1]) - 1) << low)
+    swaps = [*columns.items(), rows]
+
+    def swap(key: int) -> int:
+        for distance, fields in swaps:
+            t = (key ^ key >> distance) & fields
+            key ^= t | t << distance
+        return key
+
+    return swap
 
 
 @lru_cache(maxsize=None)
-def _orbit_moves(dims: tuple[int, ...]) -> tuple[list, list]:
-    """The generators of orbit for one shape, compiled once.  Each facet
-    generator is (v, mask, image) by _weight_rules, with the keywords of
-    its public move.  Each swap of consecutive vertices of one dimension,
-    k-1 for k such vertices, which span S_omega, is its permutation mu and
-    a getter of the key positions reorder_vertices reads for mu."""
+def _packed_moves(dims: tuple[int, ...]) -> tuple[list, list]:
+    """The generators of orbit for one shape, compiled once on packed keys.
+    Each facet generator is its step and the keywords of its public move.
+    Each swap of consecutive vertices of one dimension, k-1 for k such
+    vertices, which span S_omega, is its step and its permutation mu."""
     omega, m = DimensionFunction(dims), len(dims)
     facet = facet_generators(omega)
-    rules = [(*rule, move.keywords) for rule, move in zip(_weight_rules(omega, facet), facet)]
-    swaps = []
-    for p, q in combinations(range(1, m + 1), 2):
+    rules = _weight_rules(omega, facet)
+    steps = [(_packed_facet(dims, *rule), move.keywords) for rule, move in zip(rules, facet)]
+    swaps = [
+        (_packed_swap(dims, p, q), Permutation.transposition(m, p, q))
+        for p, q in combinations(range(1, m + 1), 2)
         # q is the next vertex after p of its dimension.
-        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]:
-            mu = Permutation.transposition(m, p, q)
-            swaps.append((mu, itemgetter(*_positions(m, mu.images))))
-    return rules, swaps
+        if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
+    ]
+    return steps, swaps
 
 
 def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     """The orbit of g under the facet generators and the swaps of
-    consecutive vertices of one dimension, closed on keys.
+    consecutive vertices of one dimension, closed on packed keys: each
+    member is one int, its key packed by digraph._pack.
 
     The facet orbit of g is closed breadth first under the compiled facet
     moves.  A relabelling maps each facet orbit onto a facet orbit, so each
     further one is the image of a found one's first member, and is mapped
-    whole through the swap's key positions.  One check comes free and
-    raises ArithmeticError on a failure: each public move, applied once to
-    g, gives the key its compiled form gives.  Graphs are built only for
-    the members returned; refuses past ORBIT_BUDGET members."""
+    whole through the swap's XOR-swaps.  One check comes free and raises
+    ArithmeticError on a failure: each public move, applied once to g,
+    gives the packed key its compiled form gives.  The canonical member
+    has the least serial, the member's int bit-reversed.  Graphs are built
+    only for it and the members returned; refuses past ORBIT_BUDGET
+    members, g counted."""
     if not is_acyclic(g):
         raise ValueError("orbits are computed for acyclic graphs only")
-    omega, key = g.omega, g.key
-    m = omega.m
-    facet, swaps = _orbit_moves(omega.dims)
-    for v, mask, image, keywords in facet:
+    omega = g.omega
+    dims = omega.dims
+    pack = partial(digraph._pack, dims)
+    key = pack(g.key)
+    facet, swaps = _packed_moves(dims)
+    for step, keywords in facet:
         # Looked up at call time, so wrappers bound into this module see it.
         public = sigma_k_local_complement if "k" in keywords else permute_out_weights
-        if public(g, **keywords).key != _facet_step(key, m, v, mask, image):
-            raise ArithmeticError(f"compiled facet move at vertex {v} disagrees on {g}")
-    for mu, take in swaps:
-        if reorder_vertices(g, mu).key != take(key):
+        if pack(public(g, **keywords).key) != step(key):
+            raise ArithmeticError(
+                f"compiled facet move at vertex {keywords['v']} disagrees on {g}"
+            )
+    for swap, mu in swaps:
+        if pack(reorder_vertices(g, mu).key) != swap(key):
             raise ArithmeticError(f"compiled swap {mu.images} disagrees on {g}")
     budget = ORBIT_BUDGET
     refuse = partial(BudgetError, "orbit", "at least {} members", budget + 1, budget)
+    if budget < 1:
+        raise refuse()
     seen = {key}
     blocks = [[key]]
+    steps = [step for step, _ in facet]
     for cur in blocks[0]:  # a queue: it grows while it is read
-        for v, mask, image, _ in facet:
-            img = _facet_step(cur, m, v, mask, image)
+        for step in steps:
+            img = step(cur)
             if img not in seen:
                 seen.add(img)
                 blocks[0].append(img)
                 if len(seen) > budget:
                     raise refuse()
     for block in blocks:
-        for _, take in swaps:
-            if take(block[0]) not in seen:
+        for swap, _ in swaps:
+            if swap(block[0]) not in seen:
                 if len(seen) + len(block) > budget:
                     raise refuse()
-                blocks.append(list(map(take, block)))
+                blocks.append(list(map(swap, block)))
                 seen.update(blocks[-1])
-    serial = partial(digraph._serial, omega.dims)
+    del blocks  # before the report's frozen copy of seen
+    top = digraph._layout(dims)[2]
+
+    def serial(packed: int) -> str:
+        return bin(packed | top)[:2:-1]
+
+    members = None
     if include_members:
-        members = tuple(VWDigraph._from_key(omega, k) for k in sorted(seen, key=serial))
-        return OrbitReport(canonical=members[0], size=len(seen), members=members)
-    canonical = VWDigraph._from_key(omega, min(seen, key=serial))
-    return OrbitReport(canonical=canonical, size=len(seen))
+        members = tuple(
+            VWDigraph._from_key(omega, digraph._unpack(dims, k)) for k in sorted(seen, key=serial)
+        )
+        canonical = members[0]
+    else:
+        canonical = VWDigraph._from_key(omega, digraph._unpack(dims, min(seen, key=serial)))
+    return OrbitReport(canonical, len(seen), members, frozenset(seen))
 
 
 def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
-    """Every orbit of the acyclic graphs of shape omega once, with its
-    members: the whole-space sweep.  Enumeration runs in serial order, so
-    each orbit is met first at its canonical member and the canonical
-    members arrive in strictly increasing serial order."""
-    seen: set[tuple[int, ...]] = set()
+    """Every orbit of the acyclic graphs of shape omega once: the
+    whole-space sweep.  The reports carry no member graphs; an enumerated
+    graph is skipped when its packed key is in an orbit already reported.
+    Enumeration runs in serial order, so each orbit is met first at its
+    canonical member and the canonical members arrive in strictly
+    increasing serial order."""
+    pack = partial(digraph._pack, omega.dims)
+    seen: set[int] = set()
     for g in enumerate_acyclic(omega):
-        if g.key not in seen:
-            report = orbit(g, include_members=True)
-            seen.update(member.key for member in report.members)
+        if pack(g.key) not in seen:
+            report = orbit(g)
+            seen |= report.packed
             yield report
 
 

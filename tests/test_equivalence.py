@@ -63,6 +63,23 @@ def graph(dims, edges):
     )
 
 
+@st.composite
+def acyclic_graphs(draw):
+    """Edges only forward along a drawn vertex order, on up to four
+    vertices of dimension up to 3."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    m = len(dims)
+    order = draw(st.permutations(range(1, m + 1)))
+    weights = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            u, v = order[a], order[b]
+            bits = draw(st.integers(0, (1 << dims[u - 1]) - 1))
+            if bits:
+                weights[(u, v)] = GF2Vector(dims[u - 1], bits)
+    return VWDigraph(DimensionFunction(tuple(dims)), weights)
+
+
 def every_move(omega):
     """The facet move of every facet permutation at every vertex, and the
     swap of every two vertices of one dimension: wider than the standard
@@ -443,6 +460,14 @@ class TestOrbits:
             back = orbit(image, include_members=True)
             assert g in back.members
 
+    @given(acyclic_graphs())
+    def test_packed_keys_unpack_and_reverse_to_serial(self, g):
+        # orbit holds each member as its key packed into one int.
+        dims = g.omega.dims
+        packed = digraph._pack(dims, g.key)
+        assert digraph._unpack(dims, packed) == g.key
+        assert g.serial == bin(packed | digraph._layout(dims)[2])[:2:-1]
+
     def test_budget_error(self, monkeypatch):
         g = graph((2, 3), [(1, 2, "11")])
         monkeypatch.setattr(equivalence, "ORBIT_BUDGET", 1)
@@ -450,6 +475,14 @@ class TestOrbits:
             orbit(g)
         assert (err.value.size, err.value.budget) == (2, 1)
         assert str(err.value) == "orbit refused: at least 2 members exceed budget 1"
+
+    def test_budget_error_on_the_first_member(self, monkeypatch):
+        # A one-member orbit is refused too: g itself counts against the budget.
+        monkeypatch.setattr(equivalence, "ORBIT_BUDGET", 0)
+        with pytest.raises(BudgetError) as err:
+            orbit(VWDigraph(DimensionFunction.of(1)))
+        assert (err.value.size, err.value.budget) == (1, 0)
+        assert str(err.value) == "orbit refused: at least 1 members exceed budget 0"
 
     def test_budget_error_while_mapping_facet_orbits(self, monkeypatch, fig_graph):
         # The README graph's facet orbit of 72 fits the budget; its orbit of
@@ -482,8 +515,11 @@ class TestOrbits:
         facet = counts["permute_out_weights"] + counts["sigma_k_local_complement"]
         assert (facet, counts["reorder_vertices"]) == (11, 2)
 
+    # On (1, 2, 1), (2, 1, 1) and (2, 1, 2) the swapped vertices are not
+    # adjacent, or sit beside rows of another width.
     @pytest.mark.parametrize(
-        "dims", [(1, 2), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1)]
+        "dims",
+        [(1, 2), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2)],
     )
     def test_compiled_orbit_equals_the_public_move_closure(self, dims):
         for g in enumerate_acyclic(DimensionFunction(dims)):
@@ -599,7 +635,7 @@ class TestClassCounts:
         omega = DimensionFunction(dims)
         reports = list(orbits(omega))
         sizes = [report.size for report in reports]
-        members = {g.key for report in reports for g in report.members}
+        members = {key for report in reports for key in report.packed}
         enumerated = sum(1 for _ in enumerate_acyclic(omega))
         assert sum(sizes) == len(members) == count_acyclic(omega) == enumerated
         # Orbit-stabiliser: each orbit size divides the order of the group
@@ -632,23 +668,6 @@ def closure(edges, m):
                 reach[i] |= reach[k]
     vertices = range(1, m + 1)
     return frozenset((i, j) for i in vertices for j in vertices if reach[i] >> j & 1)
-
-
-@st.composite
-def acyclic_graphs(draw):
-    """Edges only forward along a drawn vertex order, on up to four
-    vertices of dimension up to 3."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    m = len(dims)
-    order = draw(st.permutations(range(1, m + 1)))
-    weights = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            u, v = order[a], order[b]
-            bits = draw(st.integers(0, (1 << dims[u - 1]) - 1))
-            if bits:
-                weights[(u, v)] = GF2Vector(dims[u - 1], bits)
-    return VWDigraph(DimensionFunction(tuple(dims)), weights)
 
 
 def dimension_preserving(dims):
