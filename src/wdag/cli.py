@@ -11,9 +11,10 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, combinations, combinations_with_replacement, islice, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import cyclestats, formulas
 from .digraph import (
@@ -72,6 +73,22 @@ class UsageError(ValueError):
     pass
 
 
+@contextmanager
+def _all_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on the decimal digits of an int, where it
+    has one, until the block ends, so that count and table print their exact
+    integers in full.  Parsed input keeps the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -97,11 +114,8 @@ def _cmd_count(args) -> int:
             formula_value = formulas.count_classes_two_vertices(*omega.dims)
             formula_source = "formula"
         elif omega.m == 3:
-            low, mid, high = sorted(omega.dims)
-            formula_value = formulas.count_classes_three_vertices_corrected(
-                low, mid, high
-            ).total
-            formula_source = "formula (corrected three-vertex form)"
+            corrected = formulas.count_classes_three_vertices_corrected(*sorted(omega.dims))
+            formula_value, formula_source = corrected.total, "formula (corrected three-vertex form)"
         if formula_value is not None and not args.brute:
             value, source = formula_value, formula_source
         else:
@@ -113,7 +127,8 @@ def _cmd_count(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    print(value)
+    with _all_digits():
+        print(value)
     print(f"source: {source}", file=sys.stderr)
     return 0
 
@@ -314,20 +329,15 @@ def _check_two_vertex(max_n: int):
 
 def _check_facet_action(max_n: int):
     for dims in [(1, 2), (2, 2), (1, 2, 3)]:
-        omega = DimensionFunction(dims)
-        bad = 0
-        total = 0
-        for g in enumerate_acyclic(omega):
-            for v in range(1, omega.m + 1):
-                for sigma_full in all_permutations(omega.dim(v) + 1):
-                    total += 1
-                    if facet_permutation_action(g, v, sigma_full) != facet_move(v, sigma_full)(g):
-                        bad += 1
-        yield (
-            f"matrix action vs moves, dims={dims}",
-            bad == 0,
-            f"{bad}/{total} disagreements",
-        )
+        agree = [
+            facet_permutation_action(g, v, sigma_full) == facet_move(v, sigma_full)(g)
+            for g in enumerate_acyclic(DimensionFunction(dims))
+            for v, d in enumerate(dims, start=1)
+            for sigma_full in all_permutations(d + 1)
+        ]
+        bad = agree.count(False)
+        detail = f"{bad}/{len(agree)} disagreements"
+        yield f"matrix action vs moves, dims={dims}", bad == 0, detail
 
 
 def _check_round_trip(max_n: int):
@@ -456,12 +466,13 @@ def _cmd_table(args) -> int:
     if args.max < least:
         raise UsageError(f"--max for {args.family} must be at least {least}, got {args.max}")
     rows = rows_up_to(args.max)
-    if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
-    else:
-        print(json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":")))
+    with _all_digits():
+        if args.format == "csv":
+            print(",".join(header))
+            for row in rows:
+                print(",".join(str(x) for x in row))
+        else:
+            print(json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":")))
     return 0
 
 

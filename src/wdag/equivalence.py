@@ -2,17 +2,17 @@
 permutation, and (sigma, k)-local complementation.
 
 Two acyclic graphs are equivalent when a sequence of the three moves
-turns one into the other.  An orbit is a union of facet orbits, the
-closures under the facet moves, which relabellings carry whole onto each
-other; `orbit` finds one so on packed keys, one int per member, with the
-moves compiled once per shape into bit operations on those ints and each
-public move checked once against its compiled form.  An
+turns one into the other.  A permutation of the facets at a vertex is
+read as (sigma, k) once, and the facet generators of a shape are one
+table of weight rules, which `orbit` and the slicer both compile.  An
+orbit is a union of facet orbits, which relabellings carry whole onto
+each other; `orbit` closes one on packed keys, one int per member.  An
 independent oracle realizes each single-vertex move as a facet
 permutation acting on the columns of the characteristic matrix followed
-by GF(2) row reduction.  Classes are found by sweeping all acyclic
-graphs with `orbit`, or one reachability poset at a time, inside the
-graphs whose support closes to it: the slicer numbers each slice as a
-product space, compiles the facet moves and the poset's automorphisms
+by GF(2) row reduction.  Classes are counted by sweeping all acyclic
+graphs with `orbit`, or found one reachability poset at a time, inside
+the graphs whose support closes to it: the slicer numbers each slice as
+a product space, compiles the facet moves and the poset's automorphisms
 into index maps, and merges them in a flat union-find.
 """
 from __future__ import annotations
@@ -282,29 +282,57 @@ def facet_permutation_action(
 # ---------------------------------------------------------------------------
 
 
+def _decode(sigma_full: Permutation) -> tuple[Permutation, int]:
+    """The permutation sigma_full of the dim(v)+1 facets at a vertex v read
+    as (sigma, k): sigma = reduce_top(sigma_full), and k the image of the
+    top facet, 0 when sigma_full fixes it."""
+    return reduce_top(sigma_full), sigma_full(sigma_full.degree) % sigma_full.degree
+
+
+def _public_move(g: VWDigraph, v: int, sigma: Permutation, k: int) -> VWDigraph:
+    """The public move of (sigma, k) at v: the (sigma, k)-local complementation
+    when k != 0, else the out-weight permutation by sigma.  Each is looked up
+    at call time, so wrappers bound into this module see it."""
+    if k:
+        return sigma_k_local_complement(g, v=v, sigma=sigma, k=k)
+    return permute_out_weights(g, v=v, sigma=sigma)
+
+
 def facet_move(v: int, sigma_full: Permutation) -> Callable[[VWDigraph], VWDigraph]:
     """The move by which the permutation sigma_full of the dim(v)+1 facets
-    at v acts, as a bound public move: the out-weight permutation
-    reduce_top(sigma_full) when sigma_full fixes the top facet, else the
-    (reduce_top(sigma_full), k)-local complementation, k the image of the
-    top facet.  facet_permutation_action is the independent check."""
-    top = sigma_full.degree
-    sigma, k = reduce_top(sigma_full), sigma_full(top)
-    if k == top:
-        return partial(permute_out_weights, v=v, sigma=sigma)
-    return partial(sigma_k_local_complement, v=v, sigma=sigma, k=k)
+    at v acts, as a bound public move.  facet_permutation_action is the
+    independent check."""
+    sigma, k = _decode(sigma_full)
+    return partial(_public_move, v=v, sigma=sigma, k=k)
 
 
-def facet_generators(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
-    """The facet moves of the adjacent transpositions (t t+1), t = 1..d, at
-    each vertex of dimension d: sum(dims) involutions.  They generate the
-    facet permutations S_{d+1} of every vertex, and none of them changes
-    the transitive closure of the support."""
+def facet_generators(omega: DimensionFunction) -> list[tuple[int, Permutation]]:
+    """The pairs (v, (t t+1)) of the adjacent transpositions of the d+1
+    facets at each vertex v of dimension d, t = 1..d: sum(dims) involutions.
+    Their facet moves generate the facet permutations S_{d+1} of every
+    vertex, and none of them changes the transitive closure of the support."""
     return [
-        facet_move(v, Permutation.transposition(d + 1, t, t + 1))
+        (v, Permutation.transposition(d + 1, t, t + 1))
         for v, d in enumerate(omega.dims, start=1)
         for t in range(1, d + 1)
     ]
+
+
+@lru_cache(maxsize=None)
+def _weight_rules(dims: tuple[int, ...]) -> list[tuple[int, Permutation, int, int, list[int]]]:
+    """Each facet generator of the shape as (v, sigma, k, mask, image), built
+    once per shape: image[w] is v's out-weight w after the move, and an
+    in-neighbor's weight is added onto each cross pair whose out-weight
+    shares a bit with mask, 0 for an out-weight permutation."""
+    rules = []
+    for v, sigma_full in facet_generators(DimensionFunction(dims)):
+        sigma, k = _decode(sigma_full)
+        dim_v = dims[v - 1]
+        mask, correction = _marking(dim_v, sigma, k) if k else (0, 0)
+        image = list(range(1 << dim_v))
+        _permute_row(image, len(image), 1, sigma.images, mask, correction)
+        rules.append((v, sigma, k, mask, image))
+    return rules
 
 
 @dataclass(frozen=True)
@@ -312,8 +340,9 @@ class OrbitReport:
     canonical: VWDigraph
     size: int
     members: tuple[VWDigraph, ...] | None = None
-    # The members' keys, each packed into one int by digraph._pack.
-    packed: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    # The members' keys, each packed into one int by digraph._pack: orbit's
+    # own seen-set, handed over without a copy.
+    packed: set[int] = field(default_factory=set, compare=False, repr=False)
 
 
 def _packed_facet(
@@ -391,13 +420,11 @@ def _packed_swap(dims: tuple[int, ...], p: int, q: int) -> Callable[[int], int]:
 @lru_cache(maxsize=None)
 def _packed_moves(dims: tuple[int, ...]) -> tuple[list, list]:
     """The generators of orbit for one shape, compiled once on packed keys.
-    Each facet generator is its step and the keywords of its public move.
-    Each swap of consecutive vertices of one dimension, k-1 for k such
-    vertices, which span S_omega, is its step and its permutation mu."""
-    omega, m = DimensionFunction(dims), len(dims)
-    facet = facet_generators(omega)
-    rules = _weight_rules(omega, facet)
-    steps = [(_packed_facet(dims, *rule), move.keywords) for rule, move in zip(rules, facet)]
+    Each facet generator is the step of its rule in _weight_rules, in that
+    order.  Each swap of consecutive vertices of one dimension, k-1 for k
+    such vertices, which span S_omega, is its step and its permutation mu."""
+    m = len(dims)
+    steps = [_packed_facet(dims, v, mask, image) for v, _, _, mask, image in _weight_rules(dims)]
     swaps = [
         (_packed_swap(dims, p, q), Permutation.transposition(m, p, q))
         for p, q in combinations(range(1, m + 1), 2)
@@ -428,13 +455,9 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     pack = partial(digraph._pack, dims)
     key = pack(g.key)
     facet, swaps = _packed_moves(dims)
-    for step, keywords in facet:
-        # Looked up at call time, so wrappers bound into this module see it.
-        public = sigma_k_local_complement if "k" in keywords else permute_out_weights
-        if pack(public(g, **keywords).key) != step(key):
-            raise ArithmeticError(
-                f"compiled facet move at vertex {keywords['v']} disagrees on {g}"
-            )
+    for (v, sigma, k, _, _), step in zip(_weight_rules(dims), facet):
+        if pack(_public_move(g, v, sigma, k).key) != step(key):
+            raise ArithmeticError(f"compiled facet move at vertex {v} disagrees on {g}")
     for swap, mu in swaps:
         if pack(reorder_vertices(g, mu).key) != swap(key):
             raise ArithmeticError(f"compiled swap {mu.images} disagrees on {g}")
@@ -444,9 +467,8 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
         raise refuse()
     seen = {key}
     blocks = [[key]]
-    steps = [step for step, _ in facet]
     for cur in blocks[0]:  # a queue: it grows while it is read
-        for step in steps:
+        for step in facet:
             img = step(cur)
             if img not in seen:
                 seen.add(img)
@@ -460,42 +482,29 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
                     raise refuse()
                 blocks.append(list(map(swap, block)))
                 seen.update(blocks[-1])
-    del blocks  # before the report's frozen copy of seen
+    del blocks  # lists of seen's members, freed before the canonical search
     top = digraph._layout(dims)[2]
 
     def serial(packed: int) -> str:
         return bin(packed | top)[:2:-1]
 
-    members = None
-    if include_members:
-        members = tuple(
-            VWDigraph._from_key(omega, digraph._unpack(dims, k)) for k in sorted(seen, key=serial)
-        )
-        canonical = members[0]
-    else:
-        canonical = VWDigraph._from_key(omega, digraph._unpack(dims, min(seen, key=serial)))
-    return OrbitReport(canonical, len(seen), members, frozenset(seen))
-
-
-def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
-    """Every orbit of the acyclic graphs of shape omega once: the
-    whole-space sweep.  The reports carry no member graphs; an enumerated
-    graph is skipped when its packed key is in an orbit already reported.
-    Enumeration runs in serial order, so each orbit is met first at its
-    canonical member and the canonical members arrive in strictly
-    increasing serial order."""
-    pack = partial(digraph._pack, omega.dims)
-    seen: set[int] = set()
-    for g in enumerate_acyclic(omega):
-        if pack(g.key) not in seen:
-            report = orbit(g)
-            seen |= report.packed
-            yield report
+    ordered = sorted(seen, key=serial) if include_members else [min(seen, key=serial)]
+    graphs = tuple(VWDigraph._from_key(omega, digraph._unpack(dims, k)) for k in ordered)
+    return OrbitReport(graphs[0], len(seen), graphs if include_members else None, seen)
 
 
 def count_equivalence_classes(omega: DimensionFunction) -> int:
-    """Partition all acyclic weighted digraphs into orbits; return the count."""
-    return sum(1 for _ in orbits(omega))
+    """The number of orbits of the acyclic graphs of shape omega, by the
+    whole-space sweep: every graph is enumerated, and orbit runs once per
+    class, on the first graph whose packed key no orbit found so far holds."""
+    pack = partial(digraph._pack, omega.dims)
+    seen: set[int] = set()
+    classes = 0
+    for g in enumerate_acyclic(omega):
+        if pack(g.key) not in seen:
+            seen |= orbit(g).packed
+            classes += 1
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -640,24 +649,6 @@ class SliceReport:
     poset: Poset
     representative: VWDigraph
     size: int
-
-
-def _weight_rules(
-    omega: DimensionFunction, facet: list[Callable[[VWDigraph], VWDigraph]]
-) -> list[tuple[int, int, list[int]]]:
-    """Each facet move as (v, mask, image), read off the (sigma, k) that
-    facet_move bound into it: image[w] is v's out-weight w after the move,
-    and an in-neighbor's weight is added onto each cross pair whose
-    out-weight shares a bit with mask, 0 for an out-weight permutation."""
-    rules = []
-    for move in facet:
-        v, sigma, k = move.keywords["v"], move.keywords["sigma"], move.keywords.get("k")
-        dim_v = omega.dims[v - 1]
-        mask, correction = _marking(dim_v, sigma, k) if k else (0, 0)
-        image = list(range(1 << dim_v))
-        _permute_row(image, len(image), 1, sigma.images, mask, correction)
-        rules.append((v, mask, image))
-    return rules
 
 
 def _digitwise(terms: list[list[int]]) -> list[int]:
@@ -809,7 +800,7 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     if visits > budget:
         raise BudgetError("slicing", "{} slice graphs", visits, budget)
     group = prod(factorial(d + 1) for d in dims) * relabellings
-    rules = _weight_rules(omega, facet_generators(omega))
+    rules = _weight_rules(dims)
     total = 0
     for poset in posets:
         numbering = _Slice(poset)
@@ -819,7 +810,7 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
         # move at a vertex with no out-relation, and a relabelling that
         # moves no digit, fix every point.
         tails = {a for a, _ in poset.relations}
-        for v, mask, image in rules:
+        for v, _, _, mask, image in rules:
             if v in tails:
                 _link(parent, numbering.facet_map(v, mask, image))
         moved = set(map(numbering.relabelling, poset.automorphisms[1:]))

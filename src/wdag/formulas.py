@@ -107,12 +107,6 @@ def count_unordered_outstar_classes(n: int) -> int:
     return _exact_div(count_outstar_classes(n) + twisted, 2)
 
 
-def count_instar_classes(n2: int, n3: int) -> int:
-    """Classes of the two-edge in-star with source dimensions n2 and n3."""
-    _check_positive(n2, n3)
-    return _half(n2) * _half(n3)
-
-
 def count_unordered_instar_classes(n: int) -> int:
     """Classes of the two-edge in-star whose two sources have dimension n
     and can be swapped: unordered pairs of weight classes, h(n)(h(n)+1)/2

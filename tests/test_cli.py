@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import census_classes
-from wdag import cli, equivalence, formulas
+from wdag import cli, cyclestats, equivalence, formulas
 from wdag.cli import main
 from wdag.digraph import DimensionFunction, enumerate_acyclic, graph_to_json
 
@@ -22,8 +22,8 @@ FIG_GRAPH = {
 }
 
 
-def whole_space_sweep(omega):
-    raise AssertionError("the CLI counts classes by slices, not by the whole-space sweep")
+def whole_space_sweep(g, include_members=False):
+    raise AssertionError("the CLI counts classes by slices, which never call orbit")
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ class TestCount:
         assert "source: formula" in err
 
     def test_weak_brute_counts_by_slices(self, capsys, monkeypatch):
-        monkeypatch.setattr(equivalence, "orbits", whole_space_sweep)
+        monkeypatch.setattr(equivalence, "orbit", whole_space_sweep)
         assert main(["count", "weak", "--omega", "1,1,1,1,1"]) == 0
         assert capsys.readouterr() == (census_classes("1,1,1,1,1") + "\n", "source: brute\n")
 
@@ -383,7 +383,7 @@ class TestVerify:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_burnside_suite_counts_by_slices(self, capsys, monkeypatch):
-        monkeypatch.setattr(equivalence, "orbits", whole_space_sweep)
+        monkeypatch.setattr(equivalence, "orbit", whole_space_sweep)
         assert main(["verify", "--suite", "burnside", "--max-n", "2"]) == 0
         out = capsys.readouterr().out
         assert "ok   burnside: two-vertex classes (2,2)" in out
@@ -514,6 +514,62 @@ class TestTable:
         first = capsys.readouterr().out
         main(["table", "--family", "three-simplices", "--max", "3"])
         assert capsys.readouterr().out == first
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on the decimal digits of an int, lowered to
+    640 for one test and restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+class TestDigitLimit:
+    """count and table print exact integers past the limit on decimal digits
+    and restore it after; parsed graph documents keep it."""
+
+    def test_count_dj_prints_every_digit(self, capsys, digit_limit):
+        assert main(["count", "dj", "--omega", "20000,20000"]) == 0
+        assert sys.get_int_max_str_digits() == digit_limit
+        out, err = capsys.readouterr()
+        assert (len(out), err) == (6022, "source: formula\n")
+        sys.set_int_max_str_digits(0)  # the fixture restores the limit
+        assert out == f"{2**20001 - 1}\n"
+
+    def test_table_csv_prints_every_row(self, capsys, digit_limit):
+        # s(320, 1) = 319! has 662 digits; 1 + 321 * 322 / 2 lines in all.
+        assert main(["table", "--family", "stirling", "--max", "320"]) == 0
+        assert sys.get_int_max_str_digits() == digit_limit
+        lines = capsys.readouterr().out.splitlines()
+        assert (len(lines), lines[-1]) == (51_682, "c,320,320,1")
+        sys.set_int_max_str_digits(0)
+        assert f"c,320,1,{cyclestats.stirling1(320, 1)}" in lines
+        assert len(str(cyclestats.stirling1(320, 1))) == 662
+
+    def test_table_json_prints_every_row(self, capsys, digit_limit):
+        args = ["table", "--family", "stirling", "--max", "320", "--format", "json"]
+        assert main(args) == 0
+        assert sys.get_int_max_str_digits() == digit_limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        rows = json.loads(out)
+        assert len(rows) == 51_681
+        assert {"kind": "c", "n": 320, "m": 1, "value": cyclestats.stirling1(320, 1)} in rows
+
+    @pytest.mark.parametrize("verb", [["orbit"], ["apply", "--op", "lc", "--vertex", "1"]])
+    def test_graph_documents_keep_the_limit(self, capsys, tmp_path, digit_limit, verb):
+        path = tmp_path / "wide.json"
+        path.write_text('{"omega": [1, 1' + "0" * 4999 + '], "edges": []}')
+        assert main([*verb, "--input", str(path)]) == 2
+        assert sys.get_int_max_str_digits() == digit_limit
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Exceeds the limit (640 digits)" in err
 
 
 class TestUsage:

@@ -30,7 +30,6 @@ from wdag.equivalence import (
     facet_permutation_action,
     local_complement,
     orbit,
-    orbits,
     permute_out_weights,
     reachability_posets,
     reorder_vertices,
@@ -528,6 +527,27 @@ class TestOrbits:
             assert got == want  # canonical, size and the members in order
             assert orbit(g) == OrbitReport(want.canonical, want.size)
 
+    def test_facet_moves_look_up_their_public_move_at_call_time(self, monkeypatch, fig_graph):
+        # A facet move bound before a wrapper is bound into the module calls
+        # the wrapper, with v, sigma and, for a (sigma, k) move, k by keyword.
+        lc = facet_move(4, Permutation((4, 3, 1, 2)))
+        swap = facet_move(4, Permutation((2, 1, 3, 4)))
+        want = [lc(fig_graph), swap(fig_graph)]
+        calls = []
+        for name in ("permute_out_weights", "sigma_k_local_complement"):
+            move = getattr(equivalence, name)
+
+            def record(g, name=name, move=move, **kwargs):
+                calls.append((name, kwargs))
+                return move(g, **kwargs)
+
+            monkeypatch.setattr(equivalence, name, record)
+        assert [lc(fig_graph), swap(fig_graph)] == want
+        assert calls == [
+            ("sigma_k_local_complement", {"v": 4, "sigma": SIGMA, "k": 2}),
+            ("permute_out_weights", {"v": 4, "sigma": Permutation((2, 1, 3))}),
+        ]
+
     def test_free_check_refuses_a_wrong_public_move(self, monkeypatch, fig_graph):
         monkeypatch.setattr(equivalence, "sigma_k_local_complement", lambda g, **_: g)
         with pytest.raises(ArithmeticError, match="compiled facet move"):
@@ -634,6 +654,7 @@ class TestClassCounts:
     def test_orbits_partition_the_space(self, dims):
         omega = DimensionFunction(dims)
         reports = list(orbits(omega))
+        assert len(reports) == count_equivalence_classes(omega)
         sizes = [report.size for report in reports]
         members = {key for report in reports for key in report.packed}
         enumerated = sum(1 for _ in enumerate_acyclic(omega))
@@ -737,6 +758,27 @@ def _closure(
     return seen
 
 
+def orbits(omega: DimensionFunction) -> Iterator[OrbitReport]:
+    """Every orbit of the acyclic graphs of shape omega once: the
+    whole-space sweep.  The reports carry no member graphs; an enumerated
+    graph is skipped when its packed key is in an orbit already reported.
+    Enumeration runs in serial order, so each orbit is met first at its
+    canonical member and the canonical members arrive in strictly
+    increasing serial order."""
+    pack = partial(digraph._pack, omega.dims)
+    seen: set[int] = set()
+    for g in enumerate_acyclic(omega):
+        if pack(g.key) not in seen:
+            report = orbit(g)
+            seen |= report.packed
+            yield report
+
+
+def public_facet_moves(omega: DimensionFunction) -> list[Callable[[VWDigraph], VWDigraph]]:
+    """The facet generators of omega, each bound as its public move."""
+    return [facet_move(v, sigma_full) for v, sigma_full in facet_generators(omega)]
+
+
 def reference_orbit(g: VWDigraph) -> OrbitReport:
     """orbit as it was before its closure ran on compiled keys: the public
     facet moves and swaps of consecutive vertices of one dimension."""
@@ -746,7 +788,7 @@ def reference_orbit(g: VWDigraph) -> OrbitReport:
         for p, q in combinations(range(1, m + 1), 2)
         if dims[p - 1] == dims[q - 1] and dims[p - 1] not in dims[p : q - 1]
     ]
-    seen = _closure(g, facet_generators(g.omega), swaps)
+    seen = _closure(g, public_facet_moves(g.omega), swaps)
     members = tuple(sorted(seen.values(), key=attrgetter("serial")))
     return OrbitReport(canonical=members[0], size=len(seen), members=members)
 
@@ -796,7 +838,7 @@ def reference_sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
     if visits > budget:
         raise BudgetError("slicing", "{} slice graphs", visits, budget)
     group = prod(factorial(d + 1) for d in dims) * relabellings
-    facet = facet_generators(omega)
+    facet = public_facet_moves(omega)
     total = 0
     for poset in posets:
         autos = [partial(reorder_vertices, mu=mu) for mu in poset.automorphisms[1:]]
@@ -839,15 +881,16 @@ class TestSlicing:
     @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 1, 2, 1)])
     def test_compiled_maps_equal_the_public_moves(self, dims):
         omega = DimensionFunction(dims)
-        facet = facet_generators(omega)
-        rules = equivalence._weight_rules(omega, facet)
+        rules = equivalence._weight_rules(dims)
         for poset in reachability_posets(omega):
             numbering = equivalence._Slice(poset)
             graphs = [VWDigraph._from_key(omega, numbering.key(x)) for x in range(numbering.size)]
             assert [g.key for g in graphs] == list(slice_keys(poset))
             index = {g.key: x for x, g in enumerate(graphs)}
-            for move, rule in zip(facet, rules):
-                assert numbering.facet_map(*rule) == [index[move(g).key] for g in graphs]
+            for (v, sigma_full), (u, _, _, mask, image) in zip(facet_generators(omega), rules):
+                assert u == v
+                move = facet_move(v, sigma_full)
+                assert numbering.facet_map(v, mask, image) == [index[move(g).key] for g in graphs]
             for mu in poset.automorphisms[1:]:
                 want = [index[reorder_vertices(g, mu).key] for g in graphs]
                 assert numbering.relabel_map(numbering.relabelling(mu)) == want
@@ -951,7 +994,7 @@ class TestSlicing:
         def support_closure(h):
             return closure([(a, b) for a, b, _ in h.edges], h.omega.m)
 
-        for gen in facet_generators(g.omega):
+        for gen in public_facet_moves(g.omega):
             assert support_closure(gen(g)) == support_closure(g)
 
     def test_orbit_sizes_are_whole_orbits(self):
