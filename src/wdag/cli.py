@@ -329,11 +329,17 @@ def _check_two_vertex(max_n: int):
 
 def _check_facet_action(max_n: int):
     for dims in [(1, 2), (2, 2), (1, 2, 3)]:
-        agree = [
-            facet_permutation_action(g, v, sigma_full) == facet_move(v, sigma_full)(g)
-            for g in enumerate_acyclic(DimensionFunction(dims))
+        # Each move is bound once per shape; the graphs stay the outer loop,
+        # as the oracle keeps the columns of one graph at a time.
+        moves = [
+            (v, sigma_full, facet_move(v, sigma_full))
             for v, d in enumerate(dims, start=1)
             for sigma_full in all_permutations(d + 1)
+        ]
+        agree = [
+            facet_permutation_action(g, v, sigma_full) == move(g)
+            for g in enumerate_acyclic(DimensionFunction(dims))
+            for v, sigma_full, move in moves
         ]
         bad = agree.count(False)
         detail = f"{bad}/{len(agree)} disagreements"

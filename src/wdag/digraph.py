@@ -541,17 +541,15 @@ def count_acyclic(omega: DimensionFunction) -> int:
 
 def derangement_sum(v: GF2Matrix) -> int:
     """Sum over fixed-point-free permutations of prod_i v[i, sigma(i)], mod 2."""
-    n = v.n
+    rows = v.rows
     acc = 0
-    for sigma in permutations(range(n)):
-        if any(sigma[i] == i for i in range(n)):
-            continue
-        prod_bits = 1
-        for i in range(n):
-            prod_bits &= v.rows[i] >> sigma[i]
-            if not prod_bits & 1:
+    for sigma in permutations(range(v.n)):
+        # A fixed point or a zero factor ends the walk; only a full walk counts.
+        for i, j in enumerate(sigma):
+            if i == j or not rows[i] >> j & 1:
                 break
-        acc ^= prod_bits & 1
+        else:
+            acc ^= 1
     return acc
 
 
@@ -559,19 +557,29 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
     """Sum over orderings of the unblocked vertices of the cyclic product
     v[i,a1] v[a1,a2] ... v[a_last,i], mod 2."""
     n = v.n
-    blocked_set = set(blocked)
-    if i in blocked_set:
+    # One pass over blocked, which may be an iterator: bit b - 1 of mask
+    # for each blocked b in 1..n.
+    mask = 0
+    blocks_i = outside = False
+    for b in blocked:
+        blocks_i |= b == i
+        if 1 <= b <= n:
+            mask |= 1 << b - 1
+        else:
+            outside = True
+    if blocks_i:
         raise ValueError(f"index {i} is blocked")
     if not 1 <= i <= n:
         raise ValueError(f"index {i} outside 1..{n}")
-    if any(not 1 <= b <= n for b in blocked_set):
+    if outside:
         raise ValueError("blocked set outside 1..n")
-    if len(blocked_set) > n - 2:
+    if mask.bit_count() > n - 2:
         raise ValueError("blocked set leaves fewer than one intermediate vertex")
     # Vertex a is row a - 1; bit b - 1 of it is v[a, b].
     rows = v.rows
     start = i - 1
-    rest = sorted(set(range(n)) - {b - 1 for b in blocked_set} - {start})
+    taken = mask | 1 << start
+    rest = [b for b in range(n) if not taken >> b & 1]
     acc = 0
     for order in permutations(rest):
         a = start

@@ -191,6 +191,49 @@ def _characteristic_columns(dims: tuple[int, ...], key: tuple[int, ...]) -> int 
     return columns
 
 
+@lru_cache(maxsize=1 << 12)
+def _facet_inverse(images: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A^-1 for the facet permutation with these images, and the column of
+    A that holds the old top facet, -1 when none does.  A^-1 is kept as
+    the pairs (j, r) where row r of x_v = A^-1 y_v sums row j of y_v.  A
+    depends only on the permutation, so one entry serves every shape,
+    vertex and graph."""
+    dim_v = len(images) - 1
+    # Row j of A has bit k when the old facet images[k] column is 1 in
+    # v's row j: the unit column of row images[k] - 1, or every row for
+    # the top facet, whose column is R's column v.
+    a = [0] * dim_v
+    top = -1
+    for k in range(dim_v):
+        if images[k] > dim_v:
+            top = k
+        else:
+            a[images[k] - 1] = 1 << k
+    if top >= 0:
+        a = [row | 1 << top for row in a]
+
+    # Gauss-Jordan A to the identity, pivots from v's rows, with each row
+    # operation applied to inverse, whose row r has bit j once row r of
+    # the result has taken in row j of y_v.
+    inverse = [1 << r for r in range(dim_v)]
+    for c in range(dim_v):
+        bit = 1 << c
+        if not a[c] & bit:
+            pivot = next((r for r in range(c + 1, dim_v) if a[r] & bit), None)
+            if pivot is None:
+                raise ValueError("facet-permuted matrix is singular; input invalid")
+            a[c], a[pivot] = a[pivot], a[c]
+            inverse[c], inverse[pivot] = inverse[pivot], inverse[c]
+        for r in range(dim_v):
+            if r != c and a[r] & bit:
+                a[r] ^= a[c]
+                inverse[r] ^= inverse[c]
+    pairs = tuple(
+        (j, r) for r, row in enumerate(inverse) for j in range(dim_v) if row >> j & 1
+    )
+    return pairs, top
+
+
 def facet_permutation_action(
     g: VWDigraph, v: int, sigma_full: Permutation
 ) -> VWDigraph:
@@ -213,7 +256,8 @@ def facet_permutation_action(
     zero but in that one column, which holds the weights into v.  So
     M^-1 = [[A^-1, 0], [B A^-1, I]], and as the reduced form is unique,
     reducing A alone is exact: every right column y becomes
-    x_v = A^-1 y_v on v's rows and y_o + B x_v on the others.
+    x_v = A^-1 y_v on v's rows and y_o + B x_v on the others.  A depends
+    only on sigma_full, so it is reduced once per facet permutation.
     """
     dim_v = g.omega.dim(v)
     if sigma_full.degree != dim_v + 1:
@@ -225,49 +269,28 @@ def facet_permutation_action(
     columns = _characteristic_columns(dims, g.key)
     if columns is None:
         raise ValueError("the facet action is defined for acyclic graphs only")
+    inverse, top = _facet_inverse(sigma_full.images)
     starts, n, entries, ones, diagonal = _scalar_layout(dims)
     start = starts[v - 1]
-    images = sigma_full.images
-
-    # Row j of A has bit k when the old facet images[k] column is 1 in
-    # v's row j: the unit column of row images[k] - 1, or every row for
-    # the top facet, whose column is R's column v.
-    a = [0] * dim_v
-    ones_column = 0
-    for k in range(dim_v):
-        if images[k] > dim_v:
-            ones_column = 1 << k
-        else:
-            a[images[k] - 1] = 1 << k
-    if ones_column:
-        a = [row | ones_column for row in a]
+    if top >= 0:
         # R's column v leaves for A and B; the unit column of the facet
         # the top one goes to takes its place.
         shift = (v - 1) * n
         column_v = columns >> shift & (1 << n) - 1
         into_v = column_v & ~(((1 << dim_v) - 1) << start)
-        columns ^= (column_v ^ 1 << start + images[dim_v] - 1) << shift
+        columns ^= (column_v ^ 1 << start + sigma_full.images[dim_v] - 1) << shift
 
-    # Gauss-Jordan A to the identity, pivots from v's rows, and apply
-    # each row operation to all right columns at once.
-    for c in range(dim_v):
-        bit = 1 << c
-        if not a[c] & bit:
-            pivot = next((r for r in range(c + 1, dim_v) if a[r] & bit), None)
-            if pivot is None:
-                raise ValueError("facet-permuted matrix is singular; input invalid")
-            a[c], a[pivot] = a[pivot], a[c]
-            swap = ((columns >> start + c) ^ (columns >> start + pivot)) & ones
-            columns ^= swap << start + c | swap << start + pivot
-        for r in range(dim_v):
-            if r != c and a[r] & bit:
-                a[r] ^= a[c]
-                columns ^= (columns >> start + c & ones) << start + r
-    if ones_column:
+    # x_v = A^-1 y_v, each row of y_v taken across all m columns at once
+    # by one shift and mask.
+    rows_v = columns >> start
+    columns &= ~(((1 << dim_v) - 1) * ones << start)
+    for j, r in inverse:
+        columns ^= (rows_v >> j & ones) << start + r
+    if top >= 0:
         # x_o = y_o + B x_v: add the weights into v to each column whose
         # x_v has the bit of A's all-ones column.  The product puts one
         # copy of into_v (< 2**n) at bit t*n per such column t.
-        columns ^= (columns >> start + ones_column.bit_length() - 1 & ones) * into_v
+        columns ^= (columns >> start + top & ones) * into_v
 
     if columns & diagonal != diagonal:
         raise ValueError("image matrix lost its unit diagonal")

@@ -87,10 +87,10 @@ def reduce_top(sigma: Permutation) -> Permutation:
     n = len(images) - 1
     if n < 1:
         raise ValueError("need degree at least 2 to reduce")
-    top_img = images[n]
-    return Permutation._from_images(
-        tuple(top_img if img == n + 1 else img for img in images[:n])
-    )
+    j = images.index(n + 1)
+    if j == n:
+        return Permutation._from_images(images[:n])
+    return Permutation._from_images(images[:j] + images[n:] + images[j + 1 : n])
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

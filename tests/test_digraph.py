@@ -533,6 +533,22 @@ def reference_cycle_sum(v: GF2Matrix, blocked, i: int) -> int:
     return acc
 
 
+def reference_derangement_sum(v: GF2Matrix) -> int:
+    """derangement_sum as it read before it walked each permutation once."""
+    n = v.n
+    acc = 0
+    for sigma in permutations(range(n)):
+        if any(sigma[i] == i for i in range(n)):
+            continue
+        prod_bits = 1
+        for i in range(n):
+            prod_bits &= v.rows[i] >> sigma[i]
+            if not prod_bits & 1:
+                break
+        acc ^= prod_bits & 1
+    return acc
+
+
 def _cycle_sum_matrices():
     for n in range(1, 4):
         for rows in product(range(1 << n), repeat=n):
@@ -569,6 +585,20 @@ class TestVanishingSums:
                 sums(m, (0,), 2)
             with pytest.raises(ValueError, match=r"index 4 outside 1\.\.3"):
                 sums(m, (), 4)
+
+    def test_derangement_sum_matches_the_reference(self):
+        for mat in _cycle_sum_matrices():
+            assert derangement_sum(mat) == reference_derangement_sum(mat), mat
+
+    def test_cycle_sum_reads_blocked_once(self):
+        m = GF2Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        with pytest.raises(ValueError, match="index 1 is blocked"):
+            cycle_sum(m, iter((1,)), 1)
+        assert cycle_sum(m, iter((1,)), 2) == cycle_sum(m, (1,), 2) == 1
+        # A repeated vertex is blocked once, as in a set.
+        assert cycle_sum(m, (1, 1), 2) == reference_cycle_sum(m, (1, 1), 2) == 1
+        with pytest.raises(ValueError, match="index 1 is blocked"):
+            cycle_sum(m, (1, 1), 1)
 
     def test_cycle_sum_matches_the_reference(self):
         for mat in _cycle_sum_matrices():

@@ -301,7 +301,9 @@ class TestMatrixActionOracle:
         "dims",
         [(1, 2), (2, 2), (3, 1), (1, 1, 1, 1)]
         # v first, in the middle and last, and widths up to 4
-        + [(3, 2, 1), (2, 1, 2), (2, 2, 2), (1, 4), (4, 1)],
+        + [(3, 2, 1), (2, 1, 2), (2, 2, 2), (1, 4), (4, 1)]
+        # pivots from S_6
+        + [(5, 1)],
     )
     def test_matches_the_reference_row_reduction(self, dims):
         omega = DimensionFunction(dims)
@@ -311,6 +313,22 @@ class TestMatrixActionOracle:
                     assert facet_permutation_action(g, v, sigma_full) == (
                         reference_facet_action(g, v, sigma_full)
                     )
+
+    def test_reduction_cache_carries_no_shape_or_vertex(self):
+        # One entry per facet permutation serves each shape and vertex with
+        # that many facets: the same sigma_full interleaved at v = 1 of
+        # (2,1), v = 2 of (1,2) and v = 3 of (1,1,2).
+        sites = [
+            (graph((2, 1), [(2, 1, "1")]), 1),
+            (graph((1, 2), [(1, 2, "1")]), 2),
+            (graph((1, 1, 2), [(1, 3, "1"), (3, 2, "10"), (1, 2, "1")]), 3),
+        ]
+        for sigma_full in all_permutations(3):
+            for g, v in sites:
+                assert facet_permutation_action(g, v, sigma_full) == (
+                    reference_facet_action(g, v, sigma_full)
+                ), (g.omega.dims, v, sigma_full)
+        assert equivalence._facet_inverse.cache_info().maxsize is not None
 
     def test_degree_validation(self, fig_graph):
         for action in (facet_permutation_action, reference_facet_action):
