@@ -148,10 +148,12 @@ class VWDigraph:
 
     The graph is stored as ``key``, a flat row-major tuple of m*m ints:
     entry (i-1)*m + (j-1) is the bits of the weight of edge (i,j), and 0
-    means no edge.  Everything else is derived from the key.
+    means no edge.  Everything else is derived from the key, except that a
+    graph from ``enumerate_acyclic`` also keeps the edge tuple its search
+    built, which ``edges`` returns as it is.
     """
 
-    __slots__ = ("omega", "key")
+    __slots__ = ("omega", "key", "_edges")
 
     def __init__(
         self,
@@ -183,6 +185,7 @@ class VWDigraph:
             key[p] = bits
         self.omega = omega
         self.key = tuple(key)
+        self._edges = None
 
     @classmethod
     def _from_key(cls, omega: DimensionFunction, key: tuple[int, ...]) -> "VWDigraph":
@@ -190,11 +193,15 @@ class VWDigraph:
         g = cls.__new__(cls)
         g.omega = omega
         g.key = key
+        g._edges = None
         return g
 
     @property
     def edges(self) -> tuple[tuple[int, int, GF2Vector], ...]:
-        """Edges (i, j, weight), sorted by (i, j)."""
+        """Edges (i, j, weight), sorted by (i, j): the tuple the graph keeps
+        when it has one (see ``enumerate_acyclic``), else derived from the key."""
+        if self._edges is not None:
+            return self._edges
         key = self.key
         places = _layout(self.omega.dims)[0]
         return tuple(
@@ -470,14 +477,19 @@ def _acyclic_rows(omega: DimensionFunction, piece, empty) -> Iterator:
 
 def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
     """Every acyclic weighted digraph exactly once, in increasing ``serial``
-    (see ``_acyclic_rows``).  Each row-table edge makes its GF2Vector once;
-    the graphs keep only its bits."""
+    (see ``_acyclic_rows``).  Each row-table edge makes its GF2Vector once.
+    Each graph is built and checked by ``VWDigraph(omega, edges)`` and then
+    keeps that tuple as its ``edges``: the search builds it row-major from
+    ``(int, int, GF2Vector)`` triples, so it is already the canonical one."""
     dims = omega.dims
 
     def edge(i: int, j: int, bits: int) -> tuple[tuple[int, int, GF2Vector]]:
         return ((i, j, GF2Vector(dims[i - 1], bits)),)
 
-    yield from map(partial(VWDigraph, omega), _acyclic_rows(omega, edge, ()))
+    for edges in _acyclic_rows(omega, edge, ()):
+        g = VWDigraph(omega, edges)
+        g._edges = edges
+        yield g
 
 
 def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:

@@ -1,6 +1,7 @@
 import json
+import operator
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -26,13 +27,40 @@ from wdag.digraph import (
     scalar_reduced_matrices,
     specialize,
 )
-from wdag.equivalence import local_complement
+from wdag.equivalence import (
+    facet_generators,
+    facet_move,
+    local_complement,
+    permute_out_weights,
+    reorder_vertices,
+    sigma_k_local_complement,
+    sigma_local_complement,
+)
 from wdag.gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string, gf2_det
+from wdag.permutation import Permutation
 
 
 _VECTOR_TABLE = {
     d: tuple(GF2Vector(d, bits) for bits in range(1 << d)) for d in (1, 2, 3)
 }
+
+
+def key_edges(g: VWDigraph) -> tuple[tuple[int, int, GF2Vector], ...]:
+    """The edges of g by their definition from its key, sorted by (i, j)."""
+    dims, m = g.omega.dims, g.omega.m
+    return tuple(
+        (i, j, GF2Vector(dims[i - 1], g.key[(i - 1) * m + j - 1]))
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+        if g.key[(i - 1) * m + j - 1]
+    )
+
+
+def edge_types(edges) -> bool:
+    """Whether edges is a tuple of (int, int, GF2Vector) tuples, exactly."""
+    return type(edges) is tuple and all(
+        type(e) is tuple and tuple(map(type, e)) == (int, int, GF2Vector) for e in edges
+    )
 
 
 def all_vector_matrices(omega: DimensionFunction):
@@ -198,12 +226,7 @@ class TestGraphBasics:
         omega = DimensionFunction(dims)
         m = len(dims)
         for g in enumerate_acyclic(omega):
-            assert g.edges == tuple(
-                (i, j, GF2Vector(dims[i - 1], g.key[(i - 1) * m + j - 1]))
-                for i in range(1, m + 1)
-                for j in range(1, m + 1)
-                if g.key[(i - 1) * m + j - 1]
-            )
+            assert g.edges == key_edges(g)
             assert g.serial == "".join(
                 bit_string(dims[p // m], b) for p, b in enumerate(g.key)
             )
@@ -215,6 +238,54 @@ class TestGraphBasics:
                 for j in range(1, m + 1):
                     bits = (1 << dims[i - 1]) - 1 if i == j else g.key[(i - 1) * m + j - 1]
                     assert r.entry(i, j) == GF2Vector(dims[i - 1], bits)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 2, 3), (2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1, 1)],
+        ids=lambda dims: ",".join(map(str, dims)),
+    )
+    def test_enumerated_graphs_keep_the_canonical_edges(self, dims):
+        omega = DimensionFunction(dims)
+        for g in enumerate_acyclic(omega):
+            edges = g.edges
+            assert edges is g.edges  # kept, not rebuilt per read
+            assert edges == VWDigraph._from_key(omega, g.key).edges
+            assert edge_types(edges)
+
+    def test_other_graphs_derive_their_edges_from_the_key(self):
+        omega = DimensionFunction.of(2, 1, 3)
+        ten, one, six = GF2Vector(2, 2), GF2Vector(1, 1), GF2Vector(3, 6)
+        unsorted = ((3, 1, six), (1, 2, ten), (2, 3, one))
+        built = [
+            VWDigraph(omega, {(i, j): w for i, j, w in unsorted}),
+            VWDigraph(omega, list(unsorted)),
+            VWDigraph(omega, unsorted),
+            VWDigraph(omega, tuple(list(e) for e in unsorted)),
+            VWDigraph(omega, ((3, True, six), (True, 2, ten), (2, 3, one))),
+            VWDigraph._from_key(omega, (0, 2, 0, 0, 0, 1, 6, 0, 0)),
+        ]
+        for g in built:
+            assert g.edges == ((1, 2, ten), (2, 3, one), (3, 1, six))
+            assert g.edges == key_edges(g)
+            assert edge_types(g.edges)
+        # Moves, JSON and the reduced matrix start from enumerated graphs,
+        # which keep their edges; what they build must not.
+        sigma = Permutation.transposition(3, 1, 2)
+        mu = Permutation((3, 2, 1))
+        for g in islice(enumerate_acyclic(DimensionFunction.of(3, 1, 3)), 3, None, 97):
+            moved = [
+                local_complement(g, 1),
+                permute_out_weights(g, 1, sigma),
+                sigma_local_complement(g, 3, sigma),
+                sigma_k_local_complement(g, 1, sigma, 2),
+                reorder_vertices(g, mu),
+                *(facet_move(v, s)(g) for v, s in facet_generators(g.omega)),
+                graph_from_json(graph_to_json(g)),
+                graph_from_reduced(reduced_matrix(g)),
+            ]
+            for h in moved:
+                assert h.edges == key_edges(h)
+                assert edge_types(h.edges)
 
     def test_reduced_matrix_diagonal(self, fig_graph):
         r = reduced_matrix(fig_graph)
@@ -491,6 +562,19 @@ class TestStreamedEnumeration:
         assert [g.key for g in streamed] == [g.key for g in reference_enumeration(omega)]
         for g in streamed:
             assert g == VWDigraph(omega, g.edges)
+
+    def test_every_graph_is_built_through_the_checked_constructor(self, monkeypatch):
+        omega = DimensionFunction.of(1, 2, 2)
+        init, calls = VWDigraph.__init__, []
+
+        def counted(g, *args):
+            calls.append(g)
+            init(g, *args)
+
+        monkeypatch.setattr(VWDigraph, "__init__", counted)
+        graphs = list(enumerate_acyclic(omega))
+        assert len(calls) == len(graphs) == count_acyclic(omega)
+        assert all(map(operator.is_, calls, graphs))
 
     def test_first_graph_arrives_without_the_rest(self):
         omega = DimensionFunction.of(3, 3, 3, 3)
