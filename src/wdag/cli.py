@@ -176,44 +176,50 @@ def _perm_field(desc: dict, name: str) -> Permutation:
     return Permutation(tuple(images))
 
 
+# A descriptor field maps to its JSON reader and to the reader of its --flag's
+# text: argparse reads an integer flag, _parse_ints the images of a permutation.
+_FIELDS = {
+    "vertex": (_int_field, int),
+    "sigma": (_perm_field, partial(_parse_ints, what="permutation")),
+    "k": (_int_field, int),
+    "mu": (_perm_field, partial(_parse_ints, what="vertex reordering")),
+}
+
+# A `wdag apply` operation maps to its move and to the fields the move takes,
+# in the order it takes them.
+MOVES = {
+    "lc": (local_complement, ("vertex",)),
+    "sigma-lc": (sigma_local_complement, ("vertex", "sigma")),
+    "sigma-k-lc": (sigma_k_local_complement, ("vertex", "sigma", "k")),
+    "permute-weights": (permute_out_weights, ("vertex", "sigma")),
+    "reorder": (reorder_vertices, ("mu",)),
+}
+
+
 def _apply_descriptor(g: VWDigraph, desc: dict) -> VWDigraph:
     if not isinstance(desc, dict):
         raise UsageError(f"descriptor {desc!r} is not a JSON object")
     op = desc.get("op")
-    if op == "lc":
-        return local_complement(g, _int_field(desc, "vertex"))
-    if op == "sigma-lc":
-        return sigma_local_complement(
-            g, _int_field(desc, "vertex"), _perm_field(desc, "sigma")
-        )
-    if op == "sigma-k-lc":
-        vertex, sigma = _int_field(desc, "vertex"), _perm_field(desc, "sigma")
-        return sigma_k_local_complement(g, vertex, sigma, _int_field(desc, "k"))
-    if op == "permute-weights":
-        return permute_out_weights(
-            g, _int_field(desc, "vertex"), _perm_field(desc, "sigma")
-        )
-    if op == "reorder":
-        return reorder_vertices(g, _perm_field(desc, "mu"))
-    raise UsageError(f"unknown operation {op!r}")
+    if not isinstance(op, str) or op not in MOVES:
+        raise UsageError(f"unknown operation {op!r}")
+    move, fields = MOVES[op]
+    unused = [name for name in desc if name != "op" and name not in fields]
+    if unused:
+        raise UsageError(f"operation {op!r} takes no field {unused[0]!r}")
+    return move(g, *(_FIELDS[name][0](desc, name) for name in fields))
 
 
 def _cmd_apply(args) -> int:
     g = _load_graph(args.input)
+    flags = {name: value for name in _FIELDS if (value := getattr(args, name)) is not None}
     if args.op_json is not None:
+        if args.op is not None or flags:
+            raise UsageError("--op-json takes neither --op nor a move's flags")
         parsed = json.loads(args.op_json)
         descriptors = parsed if isinstance(parsed, list) else [parsed]
     elif args.op is not None:
-        desc: dict = {"op": args.op}
-        if args.vertex is not None:
-            desc["vertex"] = args.vertex
-        if args.sigma is not None:
-            desc["sigma"] = _parse_ints(args.sigma, "permutation")
-        if args.k is not None:
-            desc["k"] = args.k
-        if args.mu is not None:
-            desc["mu"] = _parse_ints(args.mu, "vertex reordering")
-        descriptors = [desc]
+        fields = {name: _FIELDS[name][1](value) for name, value in flags.items()}
+        descriptors = [{"op": args.op, **fields}]
     else:
         raise UsageError("apply needs --op or --op-json")
     for desc in descriptors:
@@ -507,15 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_apply = sub.add_parser("apply", help="apply an equivalence move to a graph")
-    p_apply.add_argument(
-        "--op",
-        choices=["lc", "sigma-lc", "sigma-k-lc", "permute-weights", "reorder"],
-    )
+    p_apply.add_argument("--op", choices=list(MOVES))
     p_apply.add_argument("--op-json", help="JSON descriptor or list of descriptors")
-    p_apply.add_argument("--vertex", type=int)
-    p_apply.add_argument("--sigma", help="one-line images, e.g. 2,3,1")
-    p_apply.add_argument("--k", type=int)
-    p_apply.add_argument("--mu", help="vertex reordering images")
+    for name, (_, read_flag) in _FIELDS.items():
+        if read_flag is int:
+            p_apply.add_argument(f"--{name}", type=int)
+        else:
+            p_apply.add_argument(f"--{name}", help="one-line images, e.g. 2,3,1")
     p_apply.add_argument("--input", required=True, help="graph JSON path or - for stdin")
     p_apply.set_defaults(func=_cmd_apply)
 

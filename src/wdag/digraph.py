@@ -124,10 +124,10 @@ def _pack(dims: tuple[int, ...], key: tuple[int, ...]) -> int:
     return sum(map(lshift, key, _layout(dims)[1]))
 
 
-def _serial(dims: tuple[int, ...], key: tuple[int, ...]) -> str:
-    """The ``serial`` of the graph of shape dims with this key."""
+def _serial(packed: int, top: int) -> str:
+    """The ``serial`` of a packed key, top being its shape's ``_layout(dims)[2]``."""
     # The top bit keeps the leading zeros; [:2:-1] drops "0b1" and reverses.
-    return bin(_pack(dims, key) | _layout(dims)[2])[:2:-1]
+    return bin(packed | top)[:2:-1]
 
 
 def _unpack(dims: tuple[int, ...], packed: int) -> tuple[int, ...]:
@@ -217,7 +217,7 @@ class VWDigraph:
     @property
     def serial(self) -> str:
         """Serialized adjacency matrix; the canonical sort key for graphs."""
-        return _serial(self.omega.dims, self.key)
+        return _serial(_pack(self.omega.dims, self.key), _layout(self.omega.dims)[2])
 
     def __eq__(self, other: object) -> bool:
         return (

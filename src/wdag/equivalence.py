@@ -506,11 +506,7 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
                 blocks.append(list(map(swap, block)))
                 seen.update(blocks[-1])
     del blocks  # lists of seen's members, freed before the canonical search
-    top = digraph._layout(dims)[2]
-
-    def serial(packed: int) -> str:
-        return bin(packed | top)[:2:-1]
-
+    serial = partial(digraph._serial, top=digraph._layout(dims)[2])
     ordered = sorted(seen, key=serial) if include_members else [min(seen, key=serial)]
     graphs = tuple(VWDigraph._from_key(omega, digraph._unpack(dims, k)) for k in ordered)
     return OrbitReport(graphs[0], len(seen), graphs if include_members else None, seen)

@@ -332,13 +332,15 @@ _FAMILY_OF_COVERS = {
 
 @dataclass(frozen=True)
 class TripleCountBreakdown:
-    total: int
+    """Three-vertex classes by shape family (per_type) and the branch that
+    counted them; total is derived from per_type, so they cannot disagree."""
+
     per_type: dict[str, int]
     branch: str
 
-    def __post_init__(self) -> None:
-        if self.total != sum(self.per_type.values()):
-            raise ValueError("breakdown terms do not add up to the total")
+    @property
+    def total(self) -> int:
+        return sum(self.per_type.values())
 
 
 def _triple_breakdown(
@@ -351,9 +353,7 @@ def _triple_breakdown(
         FAMILY_INSTAR: instar,
         FAMILY_PATH: path,
     }
-    return TripleCountBreakdown(
-        total=sum(per_type.values()), per_type=per_type, branch=branch
-    )
+    return TripleCountBreakdown(per_type, branch)
 
 
 def _pair_roles(n1: int, n2: int, n3: int) -> tuple[int, int, str]:
@@ -450,6 +450,4 @@ def brute_three_vertex_breakdown(n1: int, n2: int, n3: int) -> TripleCountBreakd
         covers = report.poset.covers
         shape = len({a for a, _ in covers}), len({b for _, b in covers})
         per_type[_FAMILY_OF_COVERS[shape]] += 1
-    return TripleCountBreakdown(
-        total=sum(per_type.values()), per_type=per_type, branch="brute-force"
-    )
+    return TripleCountBreakdown(per_type, "brute-force")

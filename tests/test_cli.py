@@ -287,6 +287,7 @@ class TestApply:
             '{"op": "sigma-lc", "vertex": 1, "sigma": "21"}',
             '{"op": "permute-weights", "vertex": 1, "sigma": [2.0, 1, 3]}',
             '{"op": "reorder", "mu": [1, 2, 3, true]}',
+            '{"op": ["lc"]}',
         ],
     )
     def test_malformed_descriptor_usage_error(self, capsys, fig_path, op_json):
@@ -344,6 +345,61 @@ class TestApply:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FIG_GRAPH)))
         assert main(["apply", "--op", "lc", "--vertex", "1", "--input", "-"]) == 0
         assert json.loads(capsys.readouterr().out) == FIG_GRAPH
+
+    # Each descriptor field's value on FIG_GRAPH, in JSON and as flag text.
+    FIELD_VALUES = {
+        "vertex": (4, "4"),
+        "sigma": ([2, 3, 1], "2,3,1"),
+        "k": (2, "2"),
+        "mu": ([1, 3, 2, 4], "1,3,2,4"),
+    }
+
+    @pytest.mark.parametrize("op", list(cli.MOVES))
+    def test_flags_and_op_json_agree(self, capsys, fig_path, op):
+        fields = cli.MOVES[op][1]
+        flags = [arg for name in fields for arg in (f"--{name}", self.FIELD_VALUES[name][1])]
+        assert main(["apply", "--op", op, *flags, "--input", fig_path]) == 0
+        by_flags = capsys.readouterr()
+        op_json = json.dumps({"op": op, **{name: self.FIELD_VALUES[name][0] for name in fields}})
+        assert main(["apply", "--op-json", op_json, "--input", fig_path]) == 0
+        assert capsys.readouterr() == by_flags
+        assert by_flags.out != ""
+
+    def test_op_choices_are_the_moves(self):
+        apply = cli.build_parser()._subparsers._group_actions[0].choices["apply"]
+        (op,) = [action for action in apply._actions if action.dest == "op"]
+        assert op.choices == list(cli.MOVES)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--op-json", '{"op": "sigma-lc", "vertex": 4, "sigma": [2, 3, 1], "k": 2}'],
+                "operation 'sigma-lc' takes no field 'k'",
+            ),
+            (
+                ["--op", "lc", "--vertex", "4", "--sigma", "2,3,1"],
+                "operation 'lc' takes no field 'sigma'",
+            ),
+            (
+                ["--op-json", '{"op": "reorder", "mu": [1, 3, 2, 4], "vertex": 9}'],
+                "operation 'reorder' takes no field 'vertex'",
+            ),
+            (
+                ["--op-json", '{"op": "lc", "vertex": 4, "w": 1}'],
+                "operation 'lc' takes no field 'w'",
+            ),
+            (["--op-json", '{"op": ["lc"]}'], "unknown operation ['lc']"),
+            (
+                ["--op", "lc", "--vertex", "4", "--op-json", "[]"],
+                "--op-json takes neither --op nor a move's flags",
+            ),
+            (["--op-json", "[]", "--k", "2"], "--op-json takes neither --op nor a move's flags"),
+        ],
+    )
+    def test_refused_fields_and_flags(self, capsys, fig_path, argv, message):
+        assert main(["apply", *argv, "--input", fig_path]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 class TestOrbit:

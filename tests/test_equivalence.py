@@ -483,7 +483,12 @@ class TestOrbits:
         dims = g.omega.dims
         packed = digraph._pack(dims, g.key)
         assert digraph._unpack(dims, packed) == g.key
-        assert g.serial == bin(packed | digraph._layout(dims)[2])[:2:-1]
+        places, _, top, _ = digraph._layout(dims)
+        # Each position's bits, lowest first, at the width of its dimension.
+        spelled = "".join(
+            format(bits, f"0{d}b")[::-1] for (_, _, d), bits in zip(places, g.key)
+        )
+        assert digraph._serial(packed, top) == g.serial == spelled
 
     def test_budget_error(self, monkeypatch):
         g = graph((2, 3), [(1, 2, "11")])

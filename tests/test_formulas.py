@@ -14,7 +14,6 @@ from wdag.formulas import (
     FAMILY_OUTSTAR,
     FAMILY_PATH,
     FAMILY_SINGLE,
-    TripleCountBreakdown,
     _exact_div,
     _generating_pair,
     _outstar_streams,
@@ -520,10 +519,6 @@ class TestTripleBreakdown:
             count_classes_three_vertices(2, 1, 3)
         with pytest.raises(ValueError):
             count_classes_three_vertices(0, 1, 1)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            TripleCountBreakdown(total=3, per_type={"empty": 1}, branch="x")
 
 
 class TestCorrectedTripleCount:
