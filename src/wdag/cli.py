@@ -48,11 +48,15 @@ from .equivalence import (
 from .permutation import Permutation, all_permutations
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"invalid {what} {text!r}") from exc
+        raise UsageError(f"invalid {what} {text!r}") from exc
 
 
 def _parse_omega(text: str) -> DimensionFunction:
@@ -67,10 +71,6 @@ def _load_graph(path: str) -> VWDigraph:
             raw = handle.read()
     doc = json.loads(raw)  # malformed JSON surfaces position info via JSONDecodeError
     return graph_from_json(doc)
-
-
-class UsageError(ValueError):
-    pass
 
 
 @contextmanager
@@ -218,8 +218,10 @@ def _cmd_apply(args) -> int:
         parsed = json.loads(args.op_json)
         descriptors = parsed if isinstance(parsed, list) else [parsed]
     elif args.op is not None:
-        fields = {name: _FIELDS[name][1](value) for name, value in flags.items()}
-        descriptors = [{"op": args.op, **fields}]
+        # A flag the operation does not take stays text; _apply_descriptor refuses it first.
+        taken = MOVES[args.op][1]
+        fields = {name: _FIELDS[name][1](flags[name]) for name in taken if name in flags}
+        descriptors = [{"op": args.op, **flags, **fields}]
     else:
         raise UsageError("apply needs --op or --op-json")
     for desc in descriptors:

@@ -4,7 +4,7 @@ permutation, and (sigma, k)-local complementation.
 Two acyclic graphs are equivalent when a sequence of the three moves
 turns one into the other.  A permutation of the facets at a vertex is
 read as (sigma, k) once, and the facet generators of a shape are one
-table of weight rules, which `orbit` and the slicer both compile.  An
+list of weight rules, which `orbit` and the slicer both compile.  An
 orbit is a union of facet orbits, which relabellings carry whole onto
 each other; `orbit` closes one on packed keys, one int per member.  An
 independent oracle realizes each single-vertex move as a facet
@@ -342,19 +342,15 @@ def facet_generators(omega: DimensionFunction) -> list[tuple[int, Permutation]]:
 
 
 @lru_cache(maxsize=None)
-def _weight_rules(dims: tuple[int, ...]) -> list[tuple[int, Permutation, int, int, list[int]]]:
-    """Each facet generator of the shape as (v, sigma, k, mask, image), built
-    once per shape: image[w] is v's out-weight w after the move, and an
-    in-neighbor's weight is added onto each cross pair whose out-weight
-    shares a bit with mask, 0 for an out-weight permutation."""
+def _weight_rules(dims: tuple[int, ...]) -> list[tuple[int, Permutation, int, int, int]]:
+    """Each facet generator of the shape as (v, sigma, k, mask, correction),
+    built once per shape: sigma permutes v's out-weights, and each that
+    shares a bit with mask gains correction and adds an in-neighbour's
+    weight onto its cross pair; mask and correction are 0 when k = 0."""
     rules = []
     for v, sigma_full in facet_generators(DimensionFunction(dims)):
         sigma, k = _decode(sigma_full)
-        dim_v = dims[v - 1]
-        mask, correction = _marking(dim_v, sigma, k) if k else (0, 0)
-        image = list(range(1 << dim_v))
-        _permute_row(image, len(image), 1, sigma.images, mask, correction)
-        rules.append((v, sigma, k, mask, image))
+        rules.append((v, sigma, k, *(_marking(dims[v - 1], sigma, k) if k else (0, 0))))
     return rules
 
 
@@ -369,23 +365,22 @@ class OrbitReport:
 
 
 def _packed_facet(
-    dims: tuple[int, ...], v: int, mask: int, image: list[int]
+    dims: tuple[int, ...], v: int, sigma: Permutation, k: int, mask: int, correction: int
 ) -> Callable[[int], int]:
-    """The facet move (v, mask, image) of _weight_rules on packed keys.
-    Row v's segment is rewritten through tables of image, a few columns a
-    table; then each in-neighbour u's weight on (u, v) is added, with one
-    multiply, onto every column of row u that the old row v marks."""
+    """The rule (v, sigma, k, mask, correction) of _weight_rules on packed
+    keys.  Row v's m columns change at once: for k = 0, sigma = (t t+1)
+    swaps bits t-1 and t of each; else sigma is the identity and each column
+    marked by mask gains correction.  Then each in-neighbour u's weight on
+    (u, v) is added, with one multiply, onto every column of row u that the
+    old row v marks."""
     m, d = len(dims), dims[v - 1]
     starts = digraph._layout(dims)[1]
     base, row = starts[(v - 1) * m], (1 << m * d) - 1
-    # Tables of at most 8 bits hold only small ints, which Python shares.
-    per = max(1, 8 // d)
-    tables = []
-    for j in range(0, m, per):
-        width = min(per, m - j)
-        digits = [[image[x] << i * d for x in range(1 << d)] for i in reversed(range(width))]
-        tables.append((j * d, (1 << width * d) - 1, _digitwise(digits)))
-    marks = sum(mask << j * d for j in range(m))
+    ones = sum(1 << j * d for j in range(m))  # bit 0 of every column
+    marks = mask * ones
+    # Bit t-1 of every column when sigma = (t t+1); lift takes a marked bit to bit 0.
+    swap = 0 if k else ones << min(i for i, x in enumerate(sigma.images) if x != i + 1)
+    lift = max(k - 1, 0)
 
     @lru_cache(maxsize=None)
     def additions(marked: int) -> list[tuple[int, int, int]]:
@@ -401,11 +396,9 @@ def _packed_facet(
 
     def step(key: int) -> int:
         seg = key >> base & row
-        new = 0
-        for shift, bits, table in tables:
-            new |= table[seg >> shift & bits] << shift
-        key ^= (seg ^ new) << base
+        flip = (seg ^ seg >> 1) & swap
         marked = seg & marks
+        key ^= (flip | flip << 1 | (marked >> lift) * correction) << base
         if marked:
             for at, bits, spread in additions(marked):
                 # The weight fits its field, so the product carries nothing.
@@ -447,7 +440,7 @@ def _packed_moves(dims: tuple[int, ...]) -> tuple[list, list]:
     order.  Each swap of consecutive vertices of one dimension, k-1 for k
     such vertices, which span S_omega, is its step and its permutation mu."""
     m = len(dims)
-    steps = [_packed_facet(dims, v, mask, image) for v, _, _, mask, image in _weight_rules(dims)]
+    steps = [_packed_facet(dims, *rule) for rule in _weight_rules(dims)]
     swaps = [
         (_packed_swap(dims, p, q), Permutation.transposition(m, p, q))
         for p, q in combinations(range(1, m + 1), 2)
@@ -726,16 +719,18 @@ class _Slice:
         first = min(digits)
         return block(first) * (self.size // (strides[first] * radices[first]))
 
-    def facet_map(self, v: int, mask: int, image: list[int]) -> list[int]:
-        """The index map of a facet move at v, given as by _weight_rules.
-        It changes the digits of row v each on its own, and each cross pair
-        by a term over the three digits it involves."""
+    def facet_map(self, v: int, sigma: Permutation, mask: int, correction: int) -> list[int]:
+        """The index map of a rule (v, sigma, mask, correction) of _weight_rules.
+        Each digit of row v changes on its own, by _permute_row over its
+        range, and each cross pair by a term over the three digits it involves."""
         relations, digit, offsets, strides = self.relations, self.digit, self.offsets, self.strides
         row = [j for j, (a, _) in enumerate(relations) if a == v]
         terms = [[x * s for x in range(r)] for r, s in zip(self.radices, strides)]
         for j in row:
-            o = offsets[j]
-            terms[j] = [(image[x + o] - o) * strides[j] for x in range(self.radices[j])]
+            o, r = offsets[j], self.radices[j]
+            weights = list(range(o, o + r))
+            _permute_row(weights, r, 1, sigma.images, mask, correction)
+            terms[j] = [(w - o) * strides[j] for w in weights]
         out = _digitwise(terms)
         if mask:
             # A cross pair (u, w) gains w_uv where w_vw is marked; it is a
@@ -829,9 +824,9 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
         # move at a vertex with no out-relation, and a relabelling that
         # moves no digit, fix every point.
         tails = {a for a, _ in poset.relations}
-        for v, _, _, mask, image in rules:
+        for v, sigma, _, mask, correction in rules:
             if v in tails:
-                _link(parent, numbering.facet_map(v, mask, image))
+                _link(parent, numbering.facet_map(v, sigma, mask, correction))
         moved = set(map(numbering.relabelling, poset.automorphisms[1:]))
         for digits in moved - {tuple(range(len(poset.relations)))}:
             _link(parent, numbering.relabel_map(digits))

@@ -395,6 +395,13 @@ class TestApply:
                 "--op-json takes neither --op nor a move's flags",
             ),
             (["--op-json", "[]", "--k", "2"], "--op-json takes neither --op nor a move's flags"),
+            (
+                ["--op", "permute-weights", "--vertex", "4", "--sigma", "2,x"],
+                "invalid permutation '2,x'",
+            ),
+            (["--op", "reorder", "--mu", "1,x,3,4"], "invalid vertex reordering '1,x,3,4'"),
+            # A flag the operation does not take is refused before its text is read.
+            (["--op", "lc", "--vertex", "4", "--sigma", "x"], "operation 'lc' takes no field 'sigma'"),
         ],
     )
     def test_refused_fields_and_flags(self, capsys, fig_path, argv, message):
@@ -637,3 +644,8 @@ class TestUsage:
     def test_bad_omega(self, capsys):
         assert main(["count", "dj", "--omega", "1,x"]) == 2
         assert "invalid dimension list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [["count", "dj"], ["count", "weak"], ["enumerate"]])
+    def test_bad_omega_is_a_usage_error(self, capsys, verb):
+        assert main([*verb, "--omega", "1,x"]) == 2
+        assert capsys.readouterr() == ("", "usage error: invalid dimension list '1,x'\n")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 from operator import attrgetter
@@ -77,6 +78,19 @@ def acyclic_graphs(draw):
             if bits:
                 weights[(u, v)] = GF2Vector(dims[u - 1], bits)
     return VWDigraph(DimensionFunction(tuple(dims)), weights)
+
+
+def random_acyclic(dims, rng):
+    """A graph of shape dims with edges forward along a random vertex order,
+    each present with probability 3/4 and of a random nonzero weight."""
+    m = len(dims)
+    order = rng.sample(range(1, m + 1), m)
+    weights = {}
+    for a, b in combinations(range(m), 2):
+        u, v = order[a], order[b]
+        if rng.random() < 0.75:
+            weights[(u, v)] = GF2Vector(dims[u - 1], rng.randrange(1, 1 << dims[u - 1]))
+    return VWDigraph(DimensionFunction(dims), weights)
 
 
 def every_move(omega):
@@ -550,6 +564,38 @@ class TestOrbits:
             assert got == want  # canonical, size and the members in order
             assert orbit(g) == OrbitReport(want.canonical, want.size)
 
+    # Columns of 9 bits and more, wider than one byte.
+    @pytest.mark.parametrize("dims", [(9, 2), (12, 1), (2, 10, 1)])
+    def test_compiled_steps_on_wide_columns(self, dims):
+        rules = equivalence._weight_rules(dims)
+        steps, _ = equivalence._packed_moves(dims)
+        for v, sigma, k, _, _ in rules:
+            d = dims[v - 1]
+            if k:
+                assert sigma == Permutation.identity(d)
+            else:
+                assert sigma in [Permutation.transposition(d, t, t + 1) for t in range(1, d)]
+        rng = random.Random(20201)
+        for _ in range(50):
+            g = random_acyclic(dims, rng)
+            key = digraph._pack(dims, g.key)
+            for (v, sigma, k, _, _), step in zip(rules, steps):
+                want = equivalence._public_move(g, v, sigma, k)
+                assert step(key) == digraph._pack(dims, want.key)
+
+    def test_compiled_moves_hold_no_table_of_out_weights(self):
+        # (16, 1) has 65,536 out-weights at vertex 1; its compiled moves,
+        # bit rules on packed keys, take well under 1 MB to build.
+        equivalence._weight_rules.cache_clear()
+        equivalence._packed_moves.cache_clear()
+        tracemalloc.start()
+        try:
+            equivalence._packed_moves((16, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_facet_moves_look_up_their_public_move_at_call_time(self, monkeypatch, fig_graph):
         # A facet move bound before a wrapper is bound into the module calls
         # the wrapper, with v, sigma and, for a (sigma, k) move, k by keyword.
@@ -910,10 +956,11 @@ class TestSlicing:
             graphs = [VWDigraph._from_key(omega, numbering.key(x)) for x in range(numbering.size)]
             assert [g.key for g in graphs] == list(slice_keys(poset))
             index = {g.key: x for x, g in enumerate(graphs)}
-            for (v, sigma_full), (u, _, _, mask, image) in zip(facet_generators(omega), rules):
+            for (v, sigma_full), (u, sigma, _, mask, correction) in zip(facet_generators(omega), rules):
                 assert u == v
                 move = facet_move(v, sigma_full)
-                assert numbering.facet_map(v, mask, image) == [index[move(g).key] for g in graphs]
+                got = numbering.facet_map(v, sigma, mask, correction)
+                assert got == [index[move(g).key] for g in graphs]
             for mu in poset.automorphisms[1:]:
                 want = [index[reorder_vertices(g, mu).key] for g in graphs]
                 assert numbering.relabel_map(numbering.relabelling(mu)) == want
