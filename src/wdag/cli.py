@@ -495,8 +495,18 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, a bad flag value, an unknown flag or a missing
+    verb, are usage errors, which ``main`` reports and returns 2 for
+    instead of exiting; --help still prints and exits 0.  Each verb's
+    parser is one too, since argparse makes them of the parent's class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wdag",
         description="Exact enumeration of vector-weighted acyclic digraphs "
         "and their local-complementation equivalence classes.",
@@ -544,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # The reader stopped, as `wdag enumerate | head` does: end as --limit

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, compress, permutations, product
 from math import comb
-from operator import and_, lshift
+from operator import add, and_, lshift
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import GF2Matrix, GF2Vector, all_principal_minors_one, bit_string
@@ -130,6 +130,19 @@ def _serial(packed: int, top: int) -> str:
     return bin(packed | top)[:2:-1]
 
 
+def _least_serial(packed: Iterable[int]) -> int:
+    """The packed key of least ``serial`` among distinct packed keys of one
+    shape, found without building a string: ``serial`` lists bit 0 first,
+    so of two keys the lesser has 0 at the lowest bit where they differ."""
+    keys = iter(packed)
+    least = next(keys)
+    for key in keys:
+        differ = key ^ least
+        if not key & differ & -differ:
+            least = key
+    return least
+
+
 def _unpack(dims: tuple[int, ...], packed: int) -> tuple[int, ...]:
     """The key that ``_pack`` packs into packed."""
     _, starts, _, masks = _layout(dims)
@@ -150,7 +163,7 @@ class VWDigraph:
     entry (i-1)*m + (j-1) is the bits of the weight of edge (i,j), and 0
     means no edge.  Everything else is derived from the key, except that a
     graph from ``enumerate_acyclic`` also keeps the edge tuple its search
-    built, which ``edges`` returns as it is.
+    built from checked rows, which ``edges`` returns as it is.
     """
 
     __slots__ = ("omega", "key", "_edges")
@@ -188,12 +201,16 @@ class VWDigraph:
         self._edges = None
 
     @classmethod
-    def _from_key(cls, omega: DimensionFunction, key: tuple[int, ...]) -> "VWDigraph":
-        """Trusted constructor for keys made inside the library: no checks."""
+    def _from_key(
+        cls, omega: DimensionFunction, key: tuple[int, ...], edges: tuple | None = None
+    ) -> "VWDigraph":
+        """Trusted constructor for keys made inside the library: no checks.
+        edges, when given, must be the canonical edge tuple of key; the
+        graph keeps it as its ``edges``."""
         g = cls.__new__(cls)
         g.omega = omega
         g.key = key
-        g._edges = None
+        g._edges = edges
         return g
 
     @property
@@ -408,88 +425,124 @@ def scalar_reduced_matrices(m: int) -> Iterator[GF2Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _acyclic_rows(omega: DimensionFunction, piece, empty) -> Iterator:
-    """The one search behind ``enumerate_acyclic`` and ``enumerate_lines``:
-    for every acyclic graph, in increasing ``serial``, the ``+``-sum from
-    ``empty`` of ``piece(i, j, bits)`` over its edges in row-major order.
+def _acyclic_rows(omega: DimensionFunction, piece, entry, start: tuple) -> Iterator:
+    """The one search behind ``enumerate_acyclic`` and ``enumerate_lines``,
+    in one generator frame.
 
     ``serial`` joins fixed-width strings, one per key position, in
     row-major order, so serial order is the lexicographic order of rows
-    1..m.  The search chooses rows 1..m in turn.  A cycle among rows 1..i
-    passes through its highest vertex i, so row i may not point at a
-    vertex that already reaches i; that set always holds i itself, the
-    diagonal.  Payloads are streamed, never stored; a refusal is raised at
+    1..m.  The search chooses rows 1..m-1 depth first, keeping each
+    depth's prefix and reach masks in arrays, and for each choice, in
+    increasing ``serial``, yields (prefix, table).  prefix is ``start``
+    with the parts of the chosen rows added on, part by part; table lists
+    the entries of row m that the choice allows, in serial order, and the
+    caller runs through it in place.  A cycle among rows 1..i passes
+    through its highest vertex i, so row i may not point at a vertex that
+    already reaches i; that set always holds i itself, the diagonal.
+
+    The entries of vertex i that avoid one blocked set are built once, the
+    first time the set comes up, in serial order: a product over the row's
+    positions of no edge, then each nonzero weight unless the position is
+    blocked.  Each is (out-set bitmask, *parts), the parts being what
+    ``entry(i, items)`` makes of the row's tuple of ``piece(i, j, bits)``,
+    one per edge; each piece is made once per table.  So work done by
+    ``entry``, such as checking a row, is done once per row, not once per
+    graph.  Payloads are streamed, never stored, and a refusal is raised at
     the first ``next()``.
     """
     size = count_acyclic(omega)
     if size > ITEM_BUDGET:
         raise BudgetError("enumeration", "{} acyclic graphs", size, ITEM_BUDGET)
     dims = omega.dims
-    last = omega.m - 1
+    m = len(dims)
+    last = m - 1
     weights = {}  # dimension -> the bits of its nonzero weights, by bit string
-    allowed = {}  # (vertex index, blocked mask) -> its rows that avoid the mask
+    allowed = {}  # (vertex index, blocked mask) -> its entries that avoid the mask
+    # At depth i, rows 1..i are chosen: prefixes[i] is their parts summed,
+    # and reach[i][v] is the mask of the vertices among them that reach v.
+    prefixes = [start] * m
+    reach = [[0] * m for _ in dims]
+    pending = [None] * m  # the rest of each depth's table
 
-    def rows(i: int, blocked: int) -> list[tuple[int, object]]:
-        """Row i+1 in serial order, as (out-set bitmask, payload): a product
-        over its positions of no edge, then each weight unless the position
-        is blocked.  Each piece is made once per row table."""
+    def table(i: int, blocked: int) -> list[tuple]:
+        rows = allowed.get((i, blocked))
+        if rows is None:
+            rows = allowed[i, blocked] = build(i, blocked)
+        return rows
+
+    def build(i: int, blocked: int) -> list[tuple]:
         d = dims[i]
-        free = [j for j in range(len(dims)) if not blocked >> j & 1]
+        free = [j for j in range(m) if not blocked >> j & 1]
         if free and d not in weights:
             weights[d] = sorted(range(1, 1 << d), key=partial(bit_string, d))
-        choices = [[(0, empty)] for _ in dims]
+        choices = [[(0, None)] for _ in dims]
         for j in free:
             choices[j] += [(1 << j, piece(i + 1, j + 1, bits)) for bits in weights[d]]
-        table = []
+        rows = []
         for row in product(*choices):
-            mask, payload = 0, empty
-            for bit, part in row:
-                mask |= bit
-                payload += part
-            table.append((mask, payload))
-        return table
+            mask, items = 0, ()
+            for bit, item in row:
+                if bit:
+                    mask |= bit
+                    items += (item,)
+            rows.append((mask, *entry(i + 1, items)))
+        return rows
 
-    def choose(i: int, masks: tuple[int, ...], prefix) -> Iterator:
-        # Reverse search from vertex i+1 over the out-sets of rows 1..i.
-        reach, grew = 1 << i, True
-        while grew:
-            grew = False
-            for k, out in enumerate(masks):
-                if out & reach and not reach >> k & 1:
-                    reach |= 1 << k
-                    grew = True
-        table = allowed.get((i, reach))
-        if table is None:
-            table = allowed[(i, reach)] = rows(i, reach)
-        if i == last:
-            for _, payload in table:
-                yield prefix + payload
-        else:
-            for out, payload in table:
-                yield from choose(i + 1, masks + (out,), prefix + payload)
-
-    # choose refers to itself; drop its tables now, not at the next full collection.
     try:
-        yield from choose(0, (), empty)
+        if not last:
+            yield start, table(0, 1)
+            return
+        depth, pending[0] = 0, iter(table(0, 1))
+        while depth >= 0:
+            prefix, below, above = prefixes[depth], reach[depth], reach[depth + 1]
+            # Vertex depth+1 and the vertices that reach it.
+            into = below[depth] | 1 << depth
+            for row in pending[depth]:
+                out = row[0]
+                # The new row reaches v directly or through an earlier vertex.
+                for v in range(depth + 1, m):
+                    r = below[v]
+                    above[v] = r | into if out >> v & 1 or out & r else r
+                up = prefixes[depth + 1] = tuple(map(add, prefix, row[1:]))
+                if depth + 1 == last:
+                    yield up, table(last, above[last] | 1 << last)
+                else:
+                    depth += 1
+                    pending[depth] = iter(table(depth, above[depth] | 1 << depth))
+                    break
+            else:
+                depth -= 1
     finally:
         allowed.clear()
 
 
 def enumerate_acyclic(omega: DimensionFunction) -> Iterator[VWDigraph]:
     """Every acyclic weighted digraph exactly once, in increasing ``serial``
-    (see ``_acyclic_rows``).  Each row-table edge makes its GF2Vector once.
-    Each graph is built and checked by ``VWDigraph(omega, edges)`` and then
-    keeps that tuple as its ``edges``: the search builds it row-major from
-    ``(int, int, GF2Vector)`` triples, so it is already the canonical one."""
+    (see ``_acyclic_rows``).
+
+    Each row-table entry is checked once, when its table is built: its
+    edges, row-major ``(int, int, GF2Vector)`` triples with one GF2Vector
+    per table, position and weight, go through the checked constructor
+    ``VWDigraph(omega, edges)``, and the entry keeps them with that one-row
+    graph's row of the key.  No check spans two rows: each of the
+    constructor's checks reads one edge or one row, and rows share no key
+    position.  Acyclicity is the search's.  A graph is then the key prefix
+    and the edge prefix of its first m-1 rows plus the last row's entry,
+    built by ``VWDigraph._from_key``, and it keeps that edge tuple, already
+    the canonical one, as its ``edges``."""
     dims = omega.dims
+    m = len(dims)
 
-    def edge(i: int, j: int, bits: int) -> tuple[tuple[int, int, GF2Vector]]:
-        return ((i, j, GF2Vector(dims[i - 1], bits)),)
+    def edge(i: int, j: int, bits: int) -> tuple[int, int, GF2Vector]:
+        return i, j, GF2Vector(dims[i - 1], bits)
 
-    for edges in _acyclic_rows(omega, edge, ()):
-        g = VWDigraph(omega, edges)
-        g._edges = edges
-        yield g
+    def checked(i: int, edges: tuple) -> tuple[tuple[int, ...], tuple]:
+        return VWDigraph(omega, edges).key[(i - 1) * m : i * m], edges
+
+    new = VWDigraph._from_key
+    for (keys, edges), rows in _acyclic_rows(omega, edge, checked, ((), ())):
+        for _, segment, fragment in rows:
+            yield new(omega, keys + segment, edges + fragment)
 
 
 def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:
@@ -507,8 +560,12 @@ def enumerate_lines(omega: DimensionFunction) -> Iterator[str]:
     def edge(i: int, j: int, bits: int) -> str:
         return f'{openings[i, j]}{bit_string(dims[i - 1], bits)}"}}, '
 
-    for body in _acyclic_rows(omega, edge, ""):
-        yield head + body[:-2] + "]}"
+    def joined(i: int, texts: tuple[str, ...]) -> tuple[str]:
+        return ("".join(texts),)
+
+    for (body,), rows in _acyclic_rows(omega, edge, joined, ("",)):
+        for _, text in rows:
+            yield head + (body + text)[:-2] + "]}"
 
 
 def count_acyclic(omega: DimensionFunction) -> int:

@@ -461,7 +461,8 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     whole through the swap's XOR-swaps.  One check comes free and raises
     ArithmeticError on a failure: each public move, applied once to g,
     gives the packed key its compiled form gives.  The canonical member
-    has the least serial, the member's int bit-reversed.  Graphs are built
+    has the least serial, the member's int bit-reversed, and is found from
+    the ints, with no string per member.  Graphs are built
     only for it and the members returned; refuses past ORBIT_BUDGET
     members, g counted."""
     if not is_acyclic(g):
@@ -499,8 +500,10 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
                 blocks.append(list(map(swap, block)))
                 seen.update(blocks[-1])
     del blocks  # lists of seen's members, freed before the canonical search
-    serial = partial(digraph._serial, top=digraph._layout(dims)[2])
-    ordered = sorted(seen, key=serial) if include_members else [min(seen, key=serial)]
+    if include_members:
+        ordered = sorted(seen, key=partial(digraph._serial, top=digraph._layout(dims)[2]))
+    else:
+        ordered = [digraph._least_serial(seen)]
     graphs = tuple(VWDigraph._from_key(omega, digraph._unpack(dims, k)) for k in ordered)
     return OrbitReport(graphs[0], len(seen), graphs if include_members else None, seen)
 

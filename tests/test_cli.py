@@ -636,10 +636,40 @@ class TestDigitLimit:
 
 
 class TestUsage:
-    def test_missing_verb(self):
+    def test_missing_verb(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "usage error: the following arguments are required: verb\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["apply", "--op", "lc", "--vertex", "x", "--input", "-"],
+                "argument --vertex: invalid int value: 'x'",
+            ),
+            (["apply", "--op", "zap", "--input", "-"], "argument --op: invalid choice: 'zap'"),
+            (["count", "dj", "--omega", "1", "--bogus"], "unrecognized arguments: --bogus"),
+            (["count", "--omega", "1"], "the following arguments are required: kind"),
+            (["enumerate", "--omega", "1", "--limit", "1.5"], "argument --limit: invalid int"),
+        ],
+    )
+    def test_argument_errors_are_usage_errors(self, capsys, argv, message):
+        # Only the start is pinned: newer interpreters list the choices differently.
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["apply", "--help"], ["enumerate", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wdag")
 
     def test_bad_omega(self, capsys):
         assert main(["count", "dj", "--omega", "1,x"]) == 2

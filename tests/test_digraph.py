@@ -1,5 +1,4 @@
 import json
-import operator
 import random
 from itertools import combinations, islice, permutations, product
 
@@ -563,18 +562,65 @@ class TestStreamedEnumeration:
         for g in streamed:
             assert g == VWDigraph(omega, g.edges)
 
-    def test_every_graph_is_built_through_the_checked_constructor(self, monkeypatch):
-        omega = DimensionFunction.of(1, 2, 2)
-        init, calls = VWDigraph.__init__, []
+    @staticmethod
+    def checked_rows(omega, monkeypatch):
+        """Enumerate omega, recording the edges of every checked construction."""
+        init, rows = VWDigraph.__init__, []
 
-        def counted(g, *args):
-            calls.append(g)
-            init(g, *args)
+        def counted(g, omega, edges):
+            init(g, omega, edges)
+            rows.append(edges)
 
         monkeypatch.setattr(VWDigraph, "__init__", counted)
-        graphs = list(enumerate_acyclic(omega))
-        assert len(calls) == len(graphs) == count_acyclic(omega)
-        assert all(map(operator.is_, calls, graphs))
+        return rows, list(enumerate_acyclic(omega))
+
+    def test_every_graph_is_built_through_the_checked_constructor(self, monkeypatch):
+        # A graph is assembled from row entries, so each of its rows must be
+        # the edges of one checked construction.
+        omega = DimensionFunction.of(1, 2, 2)
+        rows, graphs = self.checked_rows(omega, monkeypatch)
+        assert len(graphs) == count_acyclic(omega)
+        checked = set(rows)
+        for g in graphs:
+            for i in range(1, omega.m + 1):
+                assert tuple(e for e in g.edges if e[0] == i) in checked
+
+    @pytest.mark.parametrize("dims, entries", [((1, 2), 7), ((1, 1, 1, 1, 1), 211)])
+    def test_every_row_entry_is_built_through_the_checked_constructor(
+        self, dims, entries, monkeypatch
+    ):
+        # (1,2): row 1 has 2 entries; row 2 has 4 below no edge and 1 below 1->2.
+        omega = DimensionFunction(dims)
+        rows, graphs = self.checked_rows(omega, monkeypatch)
+        assert len(rows) == entries
+        assert len(graphs) == count_acyclic(omega)
+        # Each checked entry is one row's edges, and each graph's edges are
+        # checked entries side by side, one per row.
+        assert all(len({i for i, _, _ in edges}) <= 1 for edges in rows)
+        checked = set(rows)
+        for g in graphs:
+            for i in range(1, omega.m + 1):
+                assert tuple(e for e in g.edges if e[0] == i) in checked
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (lambda d, bits: GF2Vector(d, 0), "edge (1,2) carries the zero vector"),
+            (
+                lambda d, bits: GF2Vector(d + 1, bits),
+                "edge (1,2) weight has dimension 3, want 2",
+            ),
+        ],
+        ids=["zero", "wrong-dimension"],
+    )
+    def test_a_bad_search_weight_is_refused_at_the_first_next(
+        self, weight, message, monkeypatch
+    ):
+        monkeypatch.setattr(digraph, "GF2Vector", weight)
+        graphs = enumerate_acyclic(DimensionFunction.of(2, 1))
+        with pytest.raises(ValueError) as err:
+            next(graphs)
+        assert str(err.value) == message
 
     def test_first_graph_arrives_without_the_rest(self):
         omega = DimensionFunction.of(3, 3, 3, 3)

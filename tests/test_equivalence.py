@@ -504,6 +504,24 @@ class TestOrbits:
         )
         assert digraph._serial(packed, top) == g.serial == spelled
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_least_serial_is_the_least_string(self, seed):
+        # Keys wider than 64 bits; most share their low bits, so the choice
+        # is made above them, and a few differ only in the top bit.
+        rng = random.Random(seed)
+        width = rng.randrange(65, 260)
+        tied = rng.randrange(1, width - 1)
+        low = rng.getrandbits(tied)
+        keys = {rng.getrandbits(width - tied) << tied | low for _ in range(200)}
+        keys |= {rng.getrandbits(width) for _ in range(20)}
+        keys |= {key ^ 1 << width - 1 for key in rng.sample(sorted(keys), 10)}
+        serial = partial(digraph._serial, top=1 << width)
+        assert digraph._least_serial(keys) == min(keys, key=serial)
+        for key in rng.sample(sorted(keys), 10):
+            assert digraph._least_serial([key]) == key
+            rest = keys - {key}
+            assert digraph._least_serial(rest) == min(rest, key=serial)
+
     def test_budget_error(self, monkeypatch):
         g = graph((2, 3), [(1, 2, "11")])
         monkeypatch.setattr(equivalence, "ORBIT_BUDGET", 1)
