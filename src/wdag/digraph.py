@@ -11,11 +11,12 @@ reduced scalar matrix.
 """
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, compress, permutations, product
+from itertools import accumulate, combinations, compress, product
 from math import comb
 from operator import add, and_, lshift
 from typing import Iterable, Iterator, Sequence
@@ -467,7 +468,17 @@ def _acyclic_rows(omega: DimensionFunction, piece, entry, start: tuple) -> Itera
     def table(i: int, blocked: int) -> list[tuple]:
         rows = allowed.get((i, blocked))
         if rows is None:
-            rows = allowed[i, blocked] = build(i, blocked)
+            # Everything a table holds is made while it grows and none of
+            # it is cyclic garbage, so the cyclic collector, which would
+            # walk it again and again, is paused meanwhile; a collector the
+            # caller turned off stays off.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                rows = allowed[i, blocked] = build(i, blocked)
+            finally:
+                if collecting:
+                    gc.enable()
         return rows
 
     def build(i: int, blocked: int) -> list[tuple]:
@@ -609,22 +620,36 @@ def count_acyclic(omega: DimensionFunction) -> int:
 
 
 def derangement_sum(v: GF2Matrix) -> int:
-    """Sum over fixed-point-free permutations of prod_i v[i, sigma(i)], mod 2."""
+    """Sum over fixed-point-free permutations of prod_i v[i, sigma(i)], mod 2.
+
+    A walk fills rows 0, 1, ... in turn, each with a column j != i not yet
+    taken where v[i, j] = 1, depth first; every walk that fills all n rows
+    is one nonzero product, so the sum is their number mod 2.  Orderings
+    that meet a zero entry are never made."""
     rows = v.rows
+    n = v.n
     acc = 0
-    for sigma in permutations(range(v.n)):
-        # A fixed point or a zero factor ends the walk; only a full walk counts.
-        for i, j in enumerate(sigma):
-            if i == j or not rows[i] >> j & 1:
-                break
-        else:
+    walks = [(0, 0)]  # (next row to fill, mask of the columns taken so far)
+    while walks:
+        i, taken = walks.pop()
+        if i == n:
             acc ^= 1
+            continue
+        options = rows[i] & ~taken & ~(1 << i)
+        while options:
+            bit = options & -options
+            walks.append((i + 1, taken | bit))
+            options ^= bit
     return acc
 
 
 def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
     """Sum over orderings of the unblocked vertices of the cyclic product
-    v[i,a1] v[a1,a2] ... v[a_last,i], mod 2."""
+    v[i,a1] v[a1,a2] ... v[a_last,i], mod 2.
+
+    Only the orderings whose walk from i runs along nonzero entries are
+    made: the sum is the number of such walks that visit every unblocked
+    vertex once and close on i, mod 2."""
     n = v.n
     # One pass over blocked, which may be an iterator: bit b - 1 of mask
     # for each blocked b in 1..n.
@@ -644,20 +669,24 @@ def cycle_sum(v: GF2Matrix, blocked: Iterable[int], i: int) -> int:
         raise ValueError("blocked set outside 1..n")
     if mask.bit_count() > n - 2:
         raise ValueError("blocked set leaves fewer than one intermediate vertex")
-    # Vertex a is row a - 1; bit b - 1 of it is v[a, b].
+    # Vertex a is row a - 1; bit b - 1 of it is v[a, b].  A walk from i
+    # steps to a free vertex it has not visited along a nonzero entry,
+    # depth first; once it has visited every free vertex its product is
+    # v[i, a1] ... v[a_last, i].
     rows = v.rows
     start = i - 1
-    taken = mask | 1 << start
-    rest = [b for b in range(n) if not taken >> b & 1]
     acc = 0
-    for order in permutations(rest):
-        a = start
-        for b in order:
-            if not rows[a] >> b & 1:
-                break
-            a = b
-        else:
+    walks = [(start, (1 << n) - 1 & ~(mask | 1 << start))]  # (vertex, left to visit)
+    while walks:
+        a, left = walks.pop()
+        if not left:
             acc ^= rows[a] >> start & 1
+            continue
+        options = rows[a] & left
+        while options:
+            bit = options & -options
+            walks.append((bit.bit_length() - 1, left ^ bit))
+            options ^= bit
     return acc
 
 

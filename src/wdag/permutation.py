@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
@@ -81,9 +82,17 @@ def reduce_top(sigma: Permutation) -> Permutation:
     """Collapse a permutation of {1..n+1} to one of {1..n}.
 
     Points keep their image unless it is n+1, which is rerouted to the
-    image of n+1.  When sigma fixes n+1 this is plain restriction.
+    image of n+1.  When sigma fixes n+1 this is plain restriction.  The
+    result is kept per image tuple (``_reduce_top``), so a permutation met
+    again is not reduced again.
     """
-    images = sigma.images
+    return _reduce_top(sigma.images)
+
+
+@lru_cache(maxsize=1 << 12)
+def _reduce_top(images: tuple[int, ...]) -> Permutation:
+    """``reduce_top`` of the permutation with these images.  A refusal is
+    not cached, so it is raised on every call."""
     n = len(images) - 1
     if n < 1:
         raise ValueError("need degree at least 2 to reduce")

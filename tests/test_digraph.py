@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from itertools import combinations, islice, permutations, product
@@ -621,6 +622,18 @@ class TestStreamedEnumeration:
         with pytest.raises(ValueError) as err:
             next(graphs)
         assert str(err.value) == message
+        assert gc.isenabled()
+
+    def test_the_collector_is_left_as_the_caller_set_it(self):
+        omega = DimensionFunction.of(2, 1, 2)
+        assert sum(1 for _ in enumerate_acyclic(omega)) == count_acyclic(omega)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert sum(1 for _ in enumerate_acyclic(omega)) == count_acyclic(omega)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_first_graph_arrives_without_the_rest(self):
         omega = DimensionFunction.of(3, 3, 3, 3)
@@ -639,7 +652,8 @@ class TestStreamedEnumeration:
 
 
 def reference_cycle_sum(v: GF2Matrix, blocked, i: int) -> int:
-    """cycle_sum as it read before it walked the row bits."""
+    """cycle_sum as it read when it went through every ordering of the
+    free vertices, before it walked along nonzero entries only."""
     n = v.n
     blocked_set = set(blocked)
     if i in blocked_set:
@@ -664,7 +678,8 @@ def reference_cycle_sum(v: GF2Matrix, blocked, i: int) -> int:
 
 
 def reference_derangement_sum(v: GF2Matrix) -> int:
-    """derangement_sum as it read before it walked each permutation once."""
+    """derangement_sum as it read when it went through every permutation,
+    before it walked along nonzero entries only."""
     n = v.n
     acc = 0
     for sigma in permutations(range(n)):
@@ -687,6 +702,13 @@ def _cycle_sum_matrices():
     rng = random.Random(20)
     for _ in range(500):
         yield GF2Matrix(5, tuple(rng.randrange(1 << 5) for _ in range(5)))
+    # Where the walks branch the most: every entry, or three in four, is 1.
+    for n in range(4, 8):
+        yield GF2Matrix(n, ((1 << n) - 1,) * n)
+    for n in (6, 7):
+        for _ in range(3):
+            rows = (rng.randrange(1 << n) | rng.randrange(1 << n) for _ in range(n))
+            yield GF2Matrix(n, tuple(rows))
 
 
 class TestVanishingSums:
@@ -719,6 +741,16 @@ class TestVanishingSums:
     def test_derangement_sum_matches_the_reference(self):
         for mat in _cycle_sum_matrices():
             assert derangement_sum(mat) == reference_derangement_sum(mat), mat
+
+    def test_derangement_sum_is_the_determinant_without_the_diagonal(self):
+        # Over GF(2) the permanent is the determinant, and zeroing the
+        # diagonal leaves only the fixed-point-free permutations.
+        for n in range(1, 5):
+            off_diagonal = [((1 << n) - 1) ^ 1 << i for i in range(n)]
+            for rows in product(range(1 << n), repeat=n):
+                mat = GF2Matrix(n, rows)
+                zeroed = GF2Matrix(n, tuple(map(int.__and__, rows, off_diagonal)))
+                assert derangement_sum(mat) == gf2_det(zeroed), mat
 
     def test_cycle_sum_reads_blocked_once(self):
         m = GF2Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import permutations_of
+from wdag import permutation
 from wdag.permutation import Permutation, all_permutations, reduce_top
 
 
@@ -91,14 +92,21 @@ class TestReduceTop:
         assert sorted(reduced.images) == list(range(1, n + 1))
 
     def test_equals_the_validated_permutation(self):
-        for n in range(2, 7):
+        # A second call reads the memo and returns the first call's object.
+        permutation._reduce_top.cache_clear()
+        for n in range(2, 8):
             for sigma in all_permutations(n):
                 reduced = reduce_top(sigma)
                 top = sigma.images[-1]
                 images = tuple(top if img == n else img for img in sigma.images[:-1])
                 assert reduced == Permutation(images)
                 assert hash(reduced) == hash(Permutation(images))
+                assert reduce_top(sigma) is reduced
 
     def test_degree_one_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_top(Permutation.identity(1))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="degree at least 2"):
+                reduce_top(Permutation.identity(1))
+
+    def test_the_memo_is_bounded(self):
+        assert permutation._reduce_top.cache_info().maxsize == 1 << 12
