@@ -60,7 +60,11 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def _parse_omega(text: str) -> DimensionFunction:
-    return DimensionFunction(tuple(_parse_ints(text, "dimension list")))
+    dims = tuple(_parse_ints(text, "dimension list"))
+    try:
+        return DimensionFunction(dims)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_graph(path: str) -> VWDigraph:

@@ -5,9 +5,10 @@ an edge leaving vertex i carries a nonzero GF(2) vector of dimension
 d_i, and the zero vector means "no edge".  Acyclic graphs correspond
 one-to-one with vector matrices whose every coordinate specialization
 has all principal minors equal to 1 (graph <-> adjacency + all-ones
-diagonal).  This module provides that correspondence, exhaustive
-enumeration, and the two vanishing-sum checks satisfied by every
-reduced scalar matrix.
+diagonal); the membership test decides every specialization at once, by
+one Schur recursion over each row's set of choices.  This module provides
+that correspondence, exhaustive enumeration, and the two vanishing-sum
+checks satisfied by every reduced scalar matrix.
 """
 from __future__ import annotations
 
@@ -297,15 +298,22 @@ def specialize(a: VectorMatrix, ks: Sequence[int]) -> GF2Matrix:
 
 
 def has_unit_principal_minors(a: VectorMatrix) -> bool:
-    """True iff every coordinate specialization has all principal minors 1."""
+    """True iff every coordinate specialization has all principal minors 1.
+
+    The specializations are the product of each row's set of choices, the
+    rows ``specialize`` builds for its coordinates.  The Schur recursion of
+    ``all_principal_minors_one`` runs on those sets, deciding every
+    specialization at once: row 0's choices must all have bit 0; the
+    trailing block does not depend on row 0's choice, so it is one child,
+    and each choice r0 gives one Schur complement.  Each child is again a
+    product of row sets, and the sets drop the rows that coincide.  A
+    matrix whose rows each have one choice is its own only specialization
+    and goes to the scalar test."""
     m = a.omega.m
     # Every diagonal coordinate is a 1x1 minor of some specialization.
     for i in range(1, m + 1):
         if a.entry(i, i).bits != (1 << a.omega.dim(i)) - 1:
             return False
-    # choices[i][k - 1] is row i + 1 of the specialization picking
-    # coordinate k there, as specialize builds it; the specializations are
-    # their product, in the order of the coordinate tuples.
     choices = []
     for row, d in zip(a.rows, a.omega.dims):
         picks = [0] * d
@@ -315,10 +323,28 @@ def has_unit_principal_minors(a: VectorMatrix) -> bool:
                 low = bits & -bits
                 picks[low.bit_length() - 1] |= 1 << j
                 bits ^= low
-        choices.append(picks)
-    for rows in product(*choices):
-        if not all_principal_minors_one(GF2Matrix._from_packed(m, rows)):
+        choices.append(frozenset(picks))
+    if all(len(c) == 1 for c in choices):
+        return all_principal_minors_one(
+            GF2Matrix._from_packed(m, tuple(r for c in choices for r in c))
+        )
+    # Different paths reach the same product of row sets; each is decided once.
+    stack = [tuple(choices)]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        first, *rest = node
+        if not all(r0 & 1 for r0 in first):
             return False
+        if rest:
+            stack.append(tuple(frozenset([r >> 1 for r in c]) for c in rest))
+            for r0 in first:
+                stack.append(
+                    tuple(frozenset([(r ^ r0 if r & 1 else r) >> 1 for r in c]) for c in rest)
+                )
     return True
 
 

@@ -677,5 +677,10 @@ class TestUsage:
 
     @pytest.mark.parametrize("verb", [["count", "dj"], ["count", "weak"], ["enumerate"]])
     def test_bad_omega_is_a_usage_error(self, capsys, verb):
-        assert main([*verb, "--omega", "1,x"]) == 2
-        assert capsys.readouterr() == ("", "usage error: invalid dimension list '1,x'\n")
+        for omega, message in [
+            ("1,x", "invalid dimension list '1,x'"),
+            ("0", "dimensions must be positive: (0,)"),
+            ("1,-2", "dimensions must be positive: (1, -2)"),
+        ]:
+            assert main([*verb, "--omega", omega]) == 2
+            assert capsys.readouterr() == ("", f"usage error: {message}\n")

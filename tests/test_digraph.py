@@ -324,6 +324,69 @@ def reference_has_unit_principal_minors(a: VectorMatrix) -> bool:
     return True
 
 
+def _row_choices(a: VectorMatrix) -> list[set[int]]:
+    """Each row's set of specialized rows, one per coordinate of the row."""
+    return [
+        {sum((w.bits >> k & 1) << j for j, w in enumerate(row)) for k in range(d)}
+        for row, d in zip(a.rows, a.omega.dims)
+    ]
+
+
+def _diagonal_ones(a: VectorMatrix) -> bool:
+    omega = a.omega
+    return all(
+        a.entry(i, i) == GF2Vector.all_ones(omega.dim(i)) for i in range(1, omega.m + 1)
+    )
+
+
+def _support_acyclic(a: VectorMatrix) -> bool:
+    """Whether the support of the off-diagonal entries is acyclic.  With a
+    diagonal of ones this decides membership independently of any minor: a
+    shortest cycle has no chords, so its principal minor in a specialization
+    that keeps its entries is det(I + P) = 0 for the cycle's permutation
+    matrix P."""
+    m = a.omega.m
+    one = GF2Vector.all_ones(1)
+    support = {
+        (i, j): one
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+        if i != j and not a.entry(i, j).is_zero
+    }
+    return is_acyclic(VWDigraph(DimensionFunction((1,) * m), support))
+
+
+def _seeded_mixed_matrices(dims, count, seed):
+    """Matrices with random nonzero entries on about half of the forward
+    pairs of a random order; every second one also has one to three
+    backward entries, which may close a cycle, and every fifth one a
+    diagonal coordinate 0."""
+    rng = random.Random(seed)
+    omega = DimensionFunction(dims)
+    m = omega.m
+
+    def weight(i: int) -> GF2Vector:
+        return GF2Vector(omega.dim(i), rng.randrange(1, 1 << omega.dim(i)))
+
+    for index in range(count):
+        rank = rng.sample(range(m), m)
+        pairs = list(permutations(range(1, m + 1), 2))
+        entries = {
+            (i, j): weight(i) for i, j in pairs if rank[i - 1] < rank[j - 1] and rng.random() < 0.5
+        }
+        if index % 2:
+            backward = [(i, j) for i, j in pairs if rank[i - 1] > rank[j - 1]]
+            for i, j in rng.sample(backward, rng.randint(1, 3)):
+                entries[(i, j)] = weight(i)
+        for i in range(1, m + 1):
+            entries[(i, i)] = GF2Vector.all_ones(omega.dim(i))
+        if index % 5 == 0:
+            i = rng.randint(1, m)
+            d = omega.dim(i)
+            entries[(i, i)] = GF2Vector(d, ((1 << d) - 1) ^ (1 << rng.randrange(d)))
+        yield VectorMatrix.from_entries(omega, entries)
+
+
 def _seeded_unit_diagonal_matrices(dims, count, seed):
     """Unit-diagonal matrices with random off-diagonal entries, half of them
     supported on a random acyclic order, so both answers occur."""
@@ -356,26 +419,56 @@ class TestMembership:
             for check in (has_unit_principal_minors, reference_has_unit_principal_minors):
                 seen.clear()
                 runs.append((check(a), list(seen)))
-            yield runs
+            yield a, runs
+
+    @staticmethod
+    def _check_against_the_reference(monkeypatch, matrices) -> list[bool]:
+        """The answers equal the reference's.  The scalar test is called
+        only on a matrix whose rows each have one choice, and then once,
+        on the one scalar matrix the reference builds."""
+        answers = []
+        for a, ((answer, calls), (want, want_calls)) in TestMembership._calls_and_answers(
+            monkeypatch, matrices
+        ):
+            assert answer == want
+            if all(len(choices) == 1 for choices in _row_choices(a)):
+                assert calls == want_calls[:1]
+                assert all(call == want_calls[0] for call in want_calls)
+            else:
+                assert calls == []
+            answers.append(answer)
+        return answers
 
     @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (1, 1, 2)])
     def test_matches_the_reference_on_every_matrix(self, dims, monkeypatch):
-        answers = set()
-        for new, reference in self._calls_and_answers(
+        answers = self._check_against_the_reference(
             monkeypatch, all_vector_matrices(DimensionFunction(dims))
-        ):
-            assert new == reference
-            answers.add(new[0])
-        assert answers == {True, False}
+        )
+        assert set(answers) == {True, False}
 
     def test_matches_the_reference_on_seeded_matrices(self, monkeypatch):
-        answers = []
-        for new, reference in self._calls_and_answers(
+        answers = self._check_against_the_reference(
             monkeypatch, _seeded_unit_diagonal_matrices((2, 2, 2, 2), 500, seed=25)
-        ):
-            assert new == reference
-            answers.append(new[0])
+        )
         assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.parametrize(
+        "dims, count", [((3, 3, 3), 300), ((1, 2, 3, 4), 200), ((4, 4, 4, 4), 200)]
+    )
+    def test_matches_the_reference_where_rows_have_many_choices(
+        self, dims, count, monkeypatch
+    ):
+        matrices = list(_seeded_unit_diagonal_matrices(dims, count, seed=39))
+        answers = self._check_against_the_reference(monkeypatch, matrices)
+        assert 0 < sum(answers) < len(answers)
+        # Rows with three or four distinct choices occur, among members too.
+        widest = max(
+            len(choices)
+            for a, answer in zip(matrices, answers)
+            if answer
+            for choices in _row_choices(a)
+        )
+        assert widest == max(dims)
 
     def test_exactly_three_members_for_1_1(self):
         omega = DimensionFunction.of(1, 1)
@@ -398,24 +491,17 @@ class TestMembership:
         + list(product((1, 2), repeat=3)),
     )
     def test_membership_iff_support_acyclic(self, dims):
-        omega = DimensionFunction(dims)
-        unit = DimensionFunction((1,) * omega.m)
-        one = GF2Vector.all_ones(1)
-        for a in all_vector_matrices(omega):
-            diag_ok = all(
-                a.entry(i, i) == GF2Vector.all_ones(omega.dim(i))
-                for i in range(1, omega.m + 1)
-            )
-            if not diag_ok:
-                assert not has_unit_principal_minors(a)
-                continue
-            support = {
-                (i, j): one
-                for i in range(1, omega.m + 1)
-                for j in range(1, omega.m + 1)
-                if i != j and not a.entry(i, j).is_zero
-            }
-            assert has_unit_principal_minors(a) == is_acyclic(VWDigraph(unit, support))
+        for a in all_vector_matrices(DimensionFunction(dims)):
+            assert has_unit_principal_minors(a) == (_diagonal_ones(a) and _support_acyclic(a))
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (1, 2, 3, 4, 5), (2,) * 6])
+    def test_membership_iff_support_acyclic_on_seeded_wide_shapes(self, dims):
+        seen = set()
+        for a in _seeded_mixed_matrices(dims, 300, seed=39):
+            diagonal_ones, acyclic = _diagonal_ones(a), _support_acyclic(a)
+            assert has_unit_principal_minors(a) == (diagonal_ones and acyclic)
+            seen.add((diagonal_ones, acyclic))
+        assert len(seen) == 4
 
     def test_round_trip_exhaustive(self):
         for dims in [(1, 2), (2, 2)]:
