@@ -48,6 +48,9 @@ class DimensionFunction:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A list is unhashable, and a float or a bool miscounts.
+        if type(self.dims) is not tuple or any(type(d) is not int for d in self.dims):
+            raise ValueError(f"dimensions must be a tuple of ints: {self.dims!r}")
         if len(self.dims) < 1:
             raise ValueError("need at least one vertex")
         if any(d < 1 for d in self.dims):

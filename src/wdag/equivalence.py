@@ -342,15 +342,18 @@ def facet_generators(omega: DimensionFunction) -> list[tuple[int, Permutation]]:
 
 
 @lru_cache(maxsize=None)
-def _weight_rules(dims: tuple[int, ...]) -> list[tuple[int, Permutation, int, int, int]]:
-    """Each facet generator of the shape as (v, sigma, k, mask, correction),
-    built once per shape: sigma permutes v's out-weights, and each that
-    shares a bit with mask gains correction and adds an in-neighbour's
-    weight onto its cross pair; mask and correction are 0 when k = 0."""
+def _weight_rules(dims: tuple[int, ...]) -> list[tuple[int, Permutation, int, int, int, int]]:
+    """Each facet generator of the shape as (v, sigma, k, swap, mask,
+    correction), built once per shape: out-weight w of v becomes
+    w ^ f ^ f << 1 ^ (correction if w & mask else 0), f = (w ^ w >> 1) & swap,
+    and each marked one adds an in-neighbour's weight onto its cross pair.
+    swap is bit t-1 when sigma = (t t+1), else 0; mask and correction are 0
+    when k = 0.  Only orbit's free check reads sigma and k."""
     rules = []
     for v, sigma_full in facet_generators(DimensionFunction(dims)):
         sigma, k = _decode(sigma_full)
-        rules.append((v, sigma, k, *(_marking(dims[v - 1], sigma, k) if k else (0, 0))))
+        swap = sum(1 << i for i, x in enumerate(sigma.images) if x == i + 2)
+        rules.append((v, sigma, k, swap, *(_marking(dims[v - 1], sigma, k) if k else (0, 0))))
     return rules
 
 
@@ -365,22 +368,18 @@ class OrbitReport:
 
 
 def _packed_facet(
-    dims: tuple[int, ...], v: int, sigma: Permutation, k: int, mask: int, correction: int
+    dims: tuple[int, ...], v: int, swap: int, mask: int, correction: int
 ) -> Callable[[int], int]:
-    """The rule (v, sigma, k, mask, correction) of _weight_rules on packed
-    keys.  Row v's m columns change at once: for k = 0, sigma = (t t+1)
-    swaps bits t-1 and t of each; else sigma is the identity and each column
-    marked by mask gains correction.  Then each in-neighbour u's weight on
-    (u, v) is added, with one multiply, onto every column of row u that the
-    old row v marks."""
+    """The rule (v, swap, mask, correction) of _weight_rules on packed keys.
+    Row v's m columns change at once, each by the rule.  Then each
+    in-neighbour u's weight on (u, v) is added, with one multiply, onto
+    every column of row u that the old row v marks."""
     m, d = len(dims), dims[v - 1]
     starts = digraph._layout(dims)[1]
     base, row = starts[(v - 1) * m], (1 << m * d) - 1
     ones = sum(1 << j * d for j in range(m))  # bit 0 of every column
-    marks = mask * ones
-    # Bit t-1 of every column when sigma = (t t+1); lift takes a marked bit to bit 0.
-    swap = 0 if k else ones << min(i for i, x in enumerate(sigma.images) if x != i + 1)
-    lift = max(k - 1, 0)
+    marks, swaps = mask * ones, swap * ones
+    lift = max(mask.bit_length() - 1, 0)  # takes a marked bit to bit 0
 
     @lru_cache(maxsize=None)
     def additions(marked: int) -> list[tuple[int, int, int]]:
@@ -396,7 +395,7 @@ def _packed_facet(
 
     def step(key: int) -> int:
         seg = key >> base & row
-        flip = (seg ^ seg >> 1) & swap
+        flip = (seg ^ seg >> 1) & swaps
         marked = seg & marks
         key ^= (flip | flip << 1 | (marked >> lift) * correction) << base
         if marked:
@@ -440,7 +439,7 @@ def _packed_moves(dims: tuple[int, ...]) -> tuple[list, list]:
     order.  Each swap of consecutive vertices of one dimension, k-1 for k
     such vertices, which span S_omega, is its step and its permutation mu."""
     m = len(dims)
-    steps = [_packed_facet(dims, *rule) for rule in _weight_rules(dims)]
+    steps = [_packed_facet(dims, v, *bits) for v, _, _, *bits in _weight_rules(dims)]
     swaps = [
         (_packed_swap(dims, p, q), Permutation.transposition(m, p, q))
         for p, q in combinations(range(1, m + 1), 2)
@@ -472,7 +471,7 @@ def orbit(g: VWDigraph, include_members: bool = False) -> OrbitReport:
     pack = partial(digraph._pack, dims)
     key = pack(g.key)
     facet, swaps = _packed_moves(dims)
-    for (v, sigma, k, _, _), step in zip(_weight_rules(dims), facet):
+    for (v, sigma, k, *_), step in zip(_weight_rules(dims), facet):
         if pack(_public_move(g, v, sigma, k).key) != step(key):
             raise ArithmeticError(f"compiled facet move at vertex {v} disagrees on {g}")
     for swap, mu in swaps:
@@ -722,18 +721,19 @@ class _Slice:
         first = min(digits)
         return block(first) * (self.size // (strides[first] * radices[first]))
 
-    def facet_map(self, v: int, sigma: Permutation, mask: int, correction: int) -> list[int]:
-        """The index map of a rule (v, sigma, mask, correction) of _weight_rules.
-        Each digit of row v changes on its own, by _permute_row over its
-        range, and each cross pair by a term over the three digits it involves."""
+    def facet_map(self, v: int, swap: int, mask: int, correction: int) -> list[int]:
+        """The index map of a rule (v, swap, mask, correction) of _weight_rules.
+        Each digit of row v changes on its own, by the rule over its range,
+        and each cross pair by a term over the three digits it involves."""
         relations, digit, offsets, strides = self.relations, self.digit, self.offsets, self.strides
         row = [j for j, (a, _) in enumerate(relations) if a == v]
         terms = [[x * s for x in range(r)] for r, s in zip(self.radices, strides)]
         for j in row:
-            o, r = offsets[j], self.radices[j]
-            weights = list(range(o, o + r))
-            _permute_row(weights, r, 1, sigma.images, mask, correction)
-            terms[j] = [(w - o) * strides[j] for w in weights]
+            o, s = offsets[j], strides[j]
+            terms[j] = []
+            for w in range(o, o + self.radices[j]):
+                f = (w ^ w >> 1) & swap
+                terms[j].append(((w ^ f ^ f << 1 ^ (correction if w & mask else 0)) - o) * s)
         out = _digitwise(terms)
         if mask:
             # A cross pair (u, w) gains w_uv where w_vw is marked; it is a
@@ -827,9 +827,9 @@ def sliced_orbits(omega: DimensionFunction) -> Iterator[SliceReport]:
         # move at a vertex with no out-relation, and a relabelling that
         # moves no digit, fix every point.
         tails = {a for a, _ in poset.relations}
-        for v, sigma, _, mask, correction in rules:
+        for v, _, _, *bits in rules:
             if v in tails:
-                _link(parent, numbering.facet_map(v, sigma, mask, correction))
+                _link(parent, numbering.facet_map(v, *bits))
         moved = set(map(numbering.relabelling, poset.automorphisms[1:]))
         for digits in moved - {tuple(range(len(poset.relations)))}:
             _link(parent, numbering.relabel_map(digits))

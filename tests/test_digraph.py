@@ -142,6 +142,22 @@ class TestGraphBasics:
             g = VWDigraph(omega, {pair: one for pair in support})
             assert is_acyclic(g) == (support in dags)
 
+    # A list is unhashable, a float breaks the bit arithmetic, and a bool
+    # would be counted as 1.
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([1, 2], "dimensions must be a tuple of ints: [1, 2]"),
+            ((2.0, 1), "dimensions must be a tuple of ints: (2.0, 1)"),
+            ((True, 2), "dimensions must be a tuple of ints: (True, 2)"),
+            ((), "need at least one vertex"),
+        ],
+    )
+    def test_dimensions_it_cannot_serve_are_refused(self, dims, message):
+        with pytest.raises(ValueError) as exc:
+            DimensionFunction(dims)
+        assert str(exc.value) == message
+
     def test_invariants_enforced(self):
         omega = DimensionFunction.of(2, 1)
         with pytest.raises(ValueError, match="self-loop"):

@@ -587,17 +587,19 @@ class TestOrbits:
     def test_compiled_steps_on_wide_columns(self, dims):
         rules = equivalence._weight_rules(dims)
         steps, _ = equivalence._packed_moves(dims)
-        for v, sigma, k, _, _ in rules:
+        for v, sigma, k, swap, mask, correction in rules:
             d = dims[v - 1]
             if k:
-                assert sigma == Permutation.identity(d)
+                assert (sigma, k) == (Permutation.identity(d), d)
+                assert (swap, mask, correction) == (0, 1 << d - 1, (1 << d - 1) - 1)
             else:
-                assert sigma in [Permutation.transposition(d, t, t + 1) for t in range(1, d)]
+                [t] = [t for t in range(1, d) if sigma == Permutation.transposition(d, t, t + 1)]
+                assert (swap, mask, correction) == (1 << t - 1, 0, 0)
         rng = random.Random(20201)
         for _ in range(50):
             g = random_acyclic(dims, rng)
             key = digraph._pack(dims, g.key)
-            for (v, sigma, k, _, _), step in zip(rules, steps):
+            for (v, sigma, k, *_), step in zip(rules, steps):
                 want = equivalence._public_move(g, v, sigma, k)
                 assert step(key) == digraph._pack(dims, want.key)
 
@@ -965,7 +967,10 @@ class TestSlicing:
         omega = DimensionFunction(dims)
         assert list(sliced_orbits(omega)) == list(reference_sliced_orbits(omega))
 
-    @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 1, 2, 1)])
+    # (6, 1), (2, 5, 1) and (9, 2) swap bits above bit 1 and correct 4 bits or more.
+    @pytest.mark.parametrize(
+        "dims", [(1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 1, 2, 1), (6, 1), (2, 5, 1), (9, 2)]
+    )
     def test_compiled_maps_equal_the_public_moves(self, dims):
         omega = DimensionFunction(dims)
         rules = equivalence._weight_rules(dims)
@@ -974,10 +979,10 @@ class TestSlicing:
             graphs = [VWDigraph._from_key(omega, numbering.key(x)) for x in range(numbering.size)]
             assert [g.key for g in graphs] == list(slice_keys(poset))
             index = {g.key: x for x, g in enumerate(graphs)}
-            for (v, sigma_full), (u, sigma, _, mask, correction) in zip(facet_generators(omega), rules):
+            for (v, sigma_full), (u, _, _, *bits) in zip(facet_generators(omega), rules):
                 assert u == v
                 move = facet_move(v, sigma_full)
-                got = numbering.facet_map(v, sigma, mask, correction)
+                got = numbering.facet_map(v, *bits)
                 assert got == [index[move(g).key] for g in graphs]
             for mu in poset.automorphisms[1:]:
                 want = [index[reorder_vertices(g, mu).key] for g in graphs]
